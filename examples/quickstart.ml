@@ -37,8 +37,8 @@ let () =
   Ontology.add_subproperty k "worksAt" "affiliatedWith";
   Graph.add_edge_s g alan "worksAt" harvard;
 
-  (* Loading is done: freeze the store into its CSR index so the queries
-     below traverse packed adjacency ranges. *)
+  (* Loading is done: build the CSR index now rather than on the first
+     query; the queries below traverse its packed adjacency ranges. *)
   Graph.freeze g;
 
   let show title query =

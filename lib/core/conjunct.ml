@@ -191,8 +191,8 @@ let describe ~graph ~ontology ~options (conjunct : Query.conjunct) =
 (* [NeighboursByEdge] (§3.4): nodes adjacent to [n] under a transition
    label, observing directionality.  The wildcard [*] retrieves every edge
    of [n] in both directions (the paper issues Neighbors over the generic
-   'edge' type plus 'type', both ways).  On a frozen graph every arm is a
-   range scan over the CSR index; nothing is allocated. *)
+   'edge' type plus 'type', both ways).  Every arm is a range scan over the
+   CSR index; nothing is allocated. *)
 let iter_neighbours_by_edge t n (lbl : Nfa.tlabel) f =
   let dir_of : Nfa.dir -> Graph.dir = function Fwd -> Graph.Out | Bwd -> Graph.In in
   match lbl with

@@ -197,11 +197,13 @@ let shard_report = function
   | Parallel p -> Par.shard_report p.par
 
 (* The parallel dispatch.  Two partition seams exist:
-   - seed-sharding, for [(?X, R, ?Y)] conjuncts: seeds split [oid mod n]
-     across shards.  Per-seed explorations are independent (the visited and
-     answer keys both carry the seed vertex), so a shard emits exactly the
-     full conjunct's answers whose [x] it owns and no cross-shard
-     deduplication is needed;
+   - seed-sharding, for [(?X, R, ?Y)] conjuncts: seeds split
+     [Hashtbl.hash oid mod n] across shards — mixing the oid first keeps the
+     shards balanced however the loader happened to number the nodes, and
+     the answers do not depend on it (sealed buckets are sorted).  Per-seed
+     explorations are independent (the visited and answer keys both carry
+     the seed vertex), so a shard emits exactly the full conjunct's answers
+     whose [x] it owns and no cross-shard deduplication is needed;
    - part-sharding, for constant-seeded conjuncts whose query decomposes
      ([options.decompose] with a top-level alternation): alternation parts
      split [index mod n] across shards, each shard levelling its own parts
@@ -228,6 +230,9 @@ let create ~graph ~ontology ~options ?governor ?metrics (conjunct : Query.conjun
   in
   if domains <= 1 then create_seq ~graph ~ontology ~options ~governor ~metrics conjunct
   else begin
+    (* the shards read the graph's CSR index concurrently: build it here,
+       before any worker domain starts, not lazily inside one of them *)
+    Graphstore.Graph.freeze graph;
     let slack =
       (* a psi-levelled shard's emission order is only non-decreasing up to
          phi - 1 across level boundaries; a plain shard's is exact *)
@@ -243,7 +248,7 @@ let create ~graph ~ontology ~options ?governor ?metrics (conjunct : Query.conjun
       let ev =
         if seed_parallel then
           create_seq ~graph ~ontology ~options ~governor ~metrics
-            ~seed_filter:(fun oid -> oid mod domains = shard)
+            ~seed_filter:(fun oid -> Hashtbl.hash oid mod domains = shard)
             conjunct
         else
           create_seq ~graph ~ontology ~options ~governor ~metrics

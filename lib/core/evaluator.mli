@@ -24,8 +24,9 @@
     {b Parallel} ([options.domains > 1]) — where the conjunct offers a
     sound partition, the strategies above run sharded on a {!Par} domain
     pool: [(?X, R, ?Y)] conjuncts partition their seed vertices
-    ([oid mod domains]); constant-seeded decomposed conjuncts partition
-    their alternation parts.  The merged stream is the sequential answer
+    ([Hashtbl.hash oid mod domains], so shard balance does not depend on
+    how the loader numbered the nodes); constant-seeded decomposed
+    conjuncts partition their alternation parts.  The merged stream is the sequential answer
     set in non-decreasing distance with the canonical ascending [(x, y)]
     order within each distance — deterministic at any domain count [>= 2].
     Conjuncts with no such seam (constant-seeded, undecomposed) stay
@@ -50,9 +51,8 @@ val create :
 
 val next : t -> Conjunct.answer option
 (** Next answer, or [None] when exhausted or when the governor tripped
-    (read [Governor.termination] to tell which).  Never raises
-    [Options.Out_of_budget]; the answers already returned are a valid
-    ranked prefix either way.
+    (read [Governor.termination] to tell which); the answers already
+    returned are a valid ranked prefix either way.
     @raise Failpoints.Injected when an armed failpoint fires mid-pull. *)
 
 val take : t -> int -> Conjunct.answer list

@@ -1,9 +1,9 @@
 type dir = Out | In | Both
 
-(* One direction of the frozen index: for every used label, a CSR row
-   group.  [off] has [node_count + 1] entries; the neighbours of node [n]
-   under this label are [tgt.(off.(n)) .. tgt.(off.(n+1) - 1)], sorted
-   ascending so lookups are mergeable and [mem_edge] can bisect. *)
+(* One direction of the index: for every used label, a CSR row group.
+   [off] has [node_count + 1] entries; the neighbours of node [n] under this
+   label are [tgt.(off.(n)) .. tgt.(off.(n+1) - 1)], sorted ascending so
+   lookups are mergeable and [mem_edge] can bisect. *)
 type csr_rows = { off : int array; tgt : int array }
 
 type csr = {
@@ -13,19 +13,17 @@ type csr = {
   bwd : csr_rows array; (* slot -> in-adjacency *)
 }
 
-(* Per-label adjacency: label id -> (node oid -> neighbour oids).  The two
-   arrays are indexed by interned label id and grown on demand; an absent
-   hashtable means no edge with that label exists yet.  The hashtables are
-   the mutable source of truth; [freeze] distils them into the read-only
-   [csr] index, which every mutation invalidates. *)
+(* The edge log is the source of truth: [log.(3i), log.(3i+1), log.(3i+2)]
+   is the [i]-th edge added, as (src, label, dst).  Every read goes through
+   the [csr] index, which is built from the log on demand and dropped by
+   every mutation. *)
 type t = {
   interner : Interner.t;
   type_label : int;
   mutable node_labels : string array;
   mutable node_count : int;
   node_index : (string, int) Hashtbl.t;
-  mutable adj_out : (int, int list ref) Hashtbl.t option array;
-  mutable adj_in : (int, int list ref) Hashtbl.t option array;
+  mutable log : int array;
   mutable edge_count : int;
   mutable label_counts : int array; (* label id -> number of edges *)
   mutable csr : csr option;
@@ -40,8 +38,7 @@ let create ?(initial_nodes = 1024) () =
     node_labels = Array.make (max 1 initial_nodes) "";
     node_count = 0;
     node_index = Hashtbl.create initial_nodes;
-    adj_out = Array.make 16 None;
-    adj_in = Array.make 16 None;
+    log = Array.make (3 * max 1 initial_nodes) 0;
     edge_count = 0;
     label_counts = Array.make 16 0;
     csr = None;
@@ -67,32 +64,6 @@ let add_node t label =
     Hashtbl.add t.node_index label oid;
     oid
 
-let grow_adj t label =
-  let cap = Array.length t.adj_out in
-  if label >= cap then begin
-    let n = max (2 * cap) (label + 1) in
-    let out = Array.make n None and inn = Array.make n None and counts = Array.make n 0 in
-    Array.blit t.adj_out 0 out 0 cap;
-    Array.blit t.adj_in 0 inn 0 cap;
-    Array.blit t.label_counts 0 counts 0 cap;
-    t.adj_out <- out;
-    t.adj_in <- inn;
-    t.label_counts <- counts
-  end
-
-let table_of arr label =
-  match arr.(label) with
-  | Some tbl -> tbl
-  | None ->
-    let tbl = Hashtbl.create 64 in
-    arr.(label) <- Some tbl;
-    tbl
-
-let push tbl key v =
-  match Hashtbl.find_opt tbl key with
-  | Some cell -> cell := v :: !cell
-  | None -> Hashtbl.add tbl key (ref [ v ])
-
 let check_oid t oid ctx =
   if oid < 0 || oid >= t.node_count then
     invalid_arg (Printf.sprintf "Graph.%s: unknown oid %d" ctx oid)
@@ -101,10 +72,22 @@ let add_edge t src label dst =
   check_oid t src "add_edge";
   check_oid t dst "add_edge";
   t.csr <- None;
-  grow_adj t label;
-  push (table_of t.adj_out label) src dst;
-  push (table_of t.adj_in label) dst src;
+  let i = 3 * t.edge_count in
+  if i + 3 > Array.length t.log then begin
+    let log = Array.make (2 * Array.length t.log) 0 in
+    Array.blit t.log 0 log 0 i;
+    t.log <- log
+  end;
+  t.log.(i) <- src;
+  t.log.(i + 1) <- label;
+  t.log.(i + 2) <- dst;
   t.edge_count <- t.edge_count + 1;
+  let cap = Array.length t.label_counts in
+  if label >= cap then begin
+    let counts = Array.make (max (2 * cap) (label + 1)) 0 in
+    Array.blit t.label_counts 0 counts 0 cap;
+    t.label_counts <- counts
+  end;
   t.label_counts.(label) <- t.label_counts.(label) + 1
 
 let add_edge_s t src label dst = add_edge t src (Interner.intern t.interner label) dst
@@ -125,74 +108,80 @@ let labels t =
   done;
   !acc
 
-(* --- the frozen CSR index ------------------------------------------- *)
+let iter_edges t f =
+  for i = 0 to t.edge_count - 1 do
+    f t.log.(3 * i) t.log.((3 * i) + 1) t.log.((3 * i) + 2)
+  done
 
-(* Pack one direction's hashtable adjacency for [label] into CSR rows.
-   Two passes over the per-node lists: count, then fill backwards so each
-   row comes out in insertion order; a final per-row sort makes rows
-   ascending. *)
-let csr_rows_of t tbl =
-  let n = t.node_count in
-  let off = Array.make (n + 1) 0 in
-  Hashtbl.iter (fun src cell -> off.(src + 1) <- off.(src + 1) + List.length !cell) tbl;
-  for i = 1 to n do
+(* --- the CSR index ------------------------------------------------- *)
+
+(* Prefix-sum per-node counts (held at [off.(n + 1)]) into row offsets. *)
+let offsets_of_counts off =
+  for i = 1 to Array.length off - 1 do
     off.(i) <- off.(i) + off.(i - 1)
-  done;
-  let tgt = Array.make off.(n) 0 in
+  done
+
+(* Counting-sort transpose: row [v] of the result lists every [u] with [v]
+   in row [u] of [rows].  Rows are filled while [u] ascends, so each comes
+   out sorted whatever the order within [rows]. *)
+let transpose rows off =
+  let tgt = Array.make (Array.length rows.tgt) 0 in
   let cursor = Array.copy off in
-  Hashtbl.iter
-    (fun src cell ->
-      List.iter
-        (fun dst ->
-          tgt.(cursor.(src)) <- dst;
-          cursor.(src) <- cursor.(src) + 1)
-        !cell)
-    tbl;
-  for node = 0 to n - 1 do
-    let lo = off.(node) and hi = off.(node + 1) in
-    if hi - lo > 1 then begin
-      let row = Array.sub tgt lo (hi - lo) in
-      Array.sort compare row;
-      Array.blit row 0 tgt lo (hi - lo)
-    end
+  for u = 0 to Array.length rows.off - 2 do
+    for i = rows.off.(u) to rows.off.(u + 1) - 1 do
+      let v = rows.tgt.(i) in
+      tgt.(cursor.(v)) <- u;
+      cursor.(v) <- cursor.(v) + 1
+    done
   done;
   { off; tgt }
 
-let empty_rows = { off = [||]; tgt = [||] }
+(* One counting-sort pass over the log buckets each used label's edges by
+   source, in insertion order; transposing twice then sorts both
+   directions' rows without a comparison. *)
+let build t =
+  let n = t.node_count in
+  let label_of_slot = Array.of_list (labels t) in
+  let slot_of_label = Array.make (Array.length t.label_counts) (-1) in
+  Array.iteri (fun slot label -> slot_of_label.(label) <- slot) label_of_slot;
+  let fwd_off = Array.map (fun _ -> Array.make (n + 1) 0) label_of_slot in
+  let bwd_off = Array.map (fun _ -> Array.make (n + 1) 0) label_of_slot in
+  iter_edges t (fun src label dst ->
+      let slot = slot_of_label.(label) in
+      fwd_off.(slot).(src + 1) <- fwd_off.(slot).(src + 1) + 1;
+      bwd_off.(slot).(dst + 1) <- bwd_off.(slot).(dst + 1) + 1);
+  Array.iter offsets_of_counts fwd_off;
+  Array.iter offsets_of_counts bwd_off;
+  let by_src = Array.map (fun off -> { off; tgt = Array.make off.(n) 0 }) fwd_off in
+  let cursor = Array.map Array.copy fwd_off in
+  iter_edges t (fun src label dst ->
+      let slot = slot_of_label.(label) in
+      let c = cursor.(slot) in
+      by_src.(slot).tgt.(c.(src)) <- dst;
+      c.(src) <- c.(src) + 1);
+  let bwd = Array.mapi (fun slot rows -> transpose rows bwd_off.(slot)) by_src in
+  let fwd = Array.mapi (fun slot rows -> transpose rows fwd_off.(slot)) bwd in
+  { slot_of_label; label_of_slot; fwd; bwd }
 
-let freeze t =
-  if t.csr = None then begin
-    let n_labels = Array.length t.label_counts in
-    let slot_of_label = Array.make n_labels (-1) in
-    let used = ref [] in
-    for label = n_labels - 1 downto 0 do
-      if t.label_counts.(label) > 0 then used := label :: !used
-    done;
-    let label_of_slot = Array.of_list !used in
-    Array.iteri (fun slot label -> slot_of_label.(label) <- slot) label_of_slot;
-    let side arr =
-      Array.map
-        (fun label ->
-          match arr.(label) with Some tbl -> csr_rows_of t tbl | None -> empty_rows)
-        label_of_slot
-    in
-    t.csr <- Some { slot_of_label; label_of_slot; fwd = side t.adj_out; bwd = side t.adj_in }
-  end
+let index t =
+  match t.csr with
+  | Some c -> c
+  | None ->
+    let c = build t in
+    t.csr <- Some c;
+    c
 
-let unfreeze t = t.csr <- None
-let frozen t = t.csr <> None
+let freeze t = ignore (index t)
 
 let csr_bytes t =
-  match t.csr with
-  | None -> 0
-  | Some c ->
-    let side rows =
-      Array.fold_left
-        (fun acc r -> acc + (Sys.word_size / 8 * (Array.length r.off + Array.length r.tgt)))
-        0 rows
-    in
-    side c.fwd + side c.bwd
-    + (Sys.word_size / 8 * (Array.length c.slot_of_label + Array.length c.label_of_slot))
+  let c = index t in
+  let side rows =
+    Array.fold_left
+      (fun acc r -> acc + (Sys.word_size / 8 * (Array.length r.off + Array.length r.tgt)))
+      0 rows
+  in
+  side c.fwd + side c.bwd
+  + (Sys.word_size / 8 * (Array.length c.slot_of_label + Array.length c.label_of_slot))
 
 let slot_rows c label dir =
   if label < 0 || label >= Array.length c.slot_of_label then None
@@ -210,16 +199,10 @@ let iter_row rows n f =
 let row_length rows n =
   if n + 1 < Array.length rows.off then rows.off.(n + 1) - rows.off.(n) else 0
 
-(* --- lookups (CSR when frozen, hashtables otherwise) ------------------ *)
+(* --- lookups ------------------------------------------------------- *)
 
-let adjacent arr label oid =
-  if label < 0 || label >= Array.length arr then []
-  else
-    match arr.(label) with
-    | None -> []
-    | Some tbl -> ( match Hashtbl.find_opt tbl oid with Some cell -> !cell | None -> [])
-
-let csr_iter_neighbors c n label dir f =
+let iter_neighbors t n label dir f =
+  let c = index t in
   let one dir =
     match slot_rows c label dir with None -> () | Some rows -> iter_row rows n f
   in
@@ -229,54 +212,21 @@ let csr_iter_neighbors c n label dir f =
     one In
   | d -> one d
 
-let iter_neighbors t n label dir f =
-  match t.csr with
-  | Some c -> csr_iter_neighbors c n label dir f
-  | None -> (
-    match dir with
-    | Out -> List.iter f (adjacent t.adj_out label n)
-    | In -> List.iter f (adjacent t.adj_in label n)
-    | Both ->
-      List.iter f (adjacent t.adj_out label n);
-      List.iter f (adjacent t.adj_in label n))
-
 let neighbors t n label dir =
-  match t.csr with
-  | None -> (
-    match dir with
-    | Out -> adjacent t.adj_out label n
-    | In -> adjacent t.adj_in label n
-    | Both -> adjacent t.adj_out label n @ adjacent t.adj_in label n)
-  | Some c ->
-    let acc = ref [] in
-    csr_iter_neighbors c n label dir (fun m -> acc := m :: !acc);
-    List.rev !acc
+  let acc = ref [] in
+  iter_neighbors t n label dir (fun m -> acc := m :: !acc);
+  List.rev !acc
 
-(* One direction, every label: on the frozen index this is a slot-major
-   sweep of per-label ranges (the merged range scan of Any_dir). *)
+(* One direction, every label: a slot-major sweep of per-label ranges (the
+   merged range scan of Any_dir). *)
 let iter_neighbors_all_labels t n dir f =
+  let c = index t in
   let dirs = match dir with Out -> [ Out ] | In -> [ In ] | Both -> [ Out; In ] in
-  match t.csr with
-  | Some c ->
-    List.iter
-      (fun d ->
-        let side = match d with Out -> c.fwd | In -> c.bwd | Both -> assert false in
-        Array.iter (fun rows -> iter_row rows n f) side)
-      dirs
-  | None ->
-    List.iter
-      (fun d ->
-        let arr = match d with Out -> t.adj_out | In -> t.adj_in | Both -> assert false in
-        Array.iter
-          (fun tbl ->
-            match tbl with
-            | None -> ()
-            | Some tbl -> (
-              match Hashtbl.find_opt tbl n with
-              | Some cell -> List.iter f !cell
-              | None -> ()))
-          arr)
-      dirs
+  List.iter
+    (fun d ->
+      let side = match d with Out -> c.fwd | In -> c.bwd | Both -> assert false in
+      Array.iter (fun rows -> iter_row rows n f) side)
+    dirs
 
 (* A restricted label set (the RELAX sub-property closure): merged scan of
    the labels' ranges, in the order given. *)
@@ -299,74 +249,42 @@ let row_mem rows n dst =
   !found
 
 let mem_edge t src label dst =
-  match t.csr with
-  | Some c -> (
-    match slot_rows c label Out with
-    | Some rows when src + 1 < Array.length rows.off -> row_mem rows src dst
-    | _ -> false)
-  | None -> List.exists (fun v -> v = dst) (adjacent t.adj_out label src)
+  match slot_rows (index t) label Out with
+  | Some rows when src + 1 < Array.length rows.off -> row_mem rows src dst
+  | _ -> false
+
+let degree t n label dir =
+  match slot_rows (index t) label dir with Some r -> row_length r n | None -> 0
+
+let out_degree t n label = degree t n label Out
+let in_degree t n label = degree t n label In
 
 let has_adjacent t n label dir =
-  match t.csr with
-  | Some c -> (
-    match dir with
-    | Both ->
-      (match slot_rows c label Out with Some r -> row_length r n > 0 | None -> false)
-      || (match slot_rows c label In with Some r -> row_length r n > 0 | None -> false)
-    | d -> ( match slot_rows c label d with Some r -> row_length r n > 0 | None -> false))
-  | None -> (
-    match dir with
-    | Out -> adjacent t.adj_out label n <> []
-    | In -> adjacent t.adj_in label n <> []
-    | Both -> adjacent t.adj_out label n <> [] || adjacent t.adj_in label n <> [])
+  match dir with
+  | Both -> degree t n label Out > 0 || degree t n label In > 0
+  | d -> degree t n label d > 0
 
-let keys_of t arr rows_of label =
+let keys_of t label dir =
   Oid_set.of_iter (fun add ->
-      match t.csr with
-      | Some c -> (
-        match rows_of c label with
-        | None -> ()
-        | Some rows ->
-          for n = 0 to t.node_count - 1 do
-            if row_length rows n > 0 then add n
-          done)
-      | None ->
-        if label >= 0 && label < Array.length arr then begin
-          match arr.(label) with
-          | None -> ()
-          | Some tbl -> Hashtbl.iter (fun oid cell -> if !cell <> [] then add oid) tbl
-        end)
+      match slot_rows (index t) label dir with
+      | None -> ()
+      | Some rows ->
+        for n = 0 to t.node_count - 1 do
+          if row_length rows n > 0 then add n
+        done)
 
-let tails_by_label t label = keys_of t t.adj_out (fun c l -> slot_rows c l Out) label
-let heads_by_label t label = keys_of t t.adj_in (fun c l -> slot_rows c l In) label
+let tails_by_label t label = keys_of t label Out
+let heads_by_label t label = keys_of t label In
 
 let tails_and_heads t label =
   let set = tails_by_label t label in
   Oid_set.union_into set (heads_by_label t label);
   set
 
-let out_degree t n label =
-  match t.csr with
-  | Some c -> ( match slot_rows c label Out with Some r -> row_length r n | None -> 0)
-  | None -> List.length (adjacent t.adj_out label n)
-
-let in_degree t n label =
-  match t.csr with
-  | Some c -> ( match slot_rows c label In with Some r -> row_length r n | None -> 0)
-  | None -> List.length (adjacent t.adj_in label n)
-
 let iter_nodes t f =
   for oid = 0 to t.node_count - 1 do
     f oid
   done
-
-let iter_edges t f =
-  Array.iteri
-    (fun label tbl ->
-      match tbl with
-      | None -> ()
-      | Some tbl -> Hashtbl.iter (fun src cell -> List.iter (fun dst -> f src label dst) !cell) tbl)
-    t.adj_out
 
 type stats = {
   nodes : int;
@@ -377,22 +295,23 @@ type stats = {
 }
 
 let stats t =
-  let max_deg arr =
-    let best = ref 0 in
-    Array.iter
-      (fun tbl ->
-        match tbl with
-        | None -> ()
-        | Some tbl -> Hashtbl.iter (fun _ cell -> best := max !best (List.length !cell)) tbl)
-      arr;
-    !best
+  let c = index t in
+  let max_deg side =
+    Array.fold_left
+      (fun best rows ->
+        let best = ref best in
+        for n = 0 to t.node_count - 1 do
+          best := max !best (row_length rows n)
+        done;
+        !best)
+      0 side
   in
   {
     nodes = t.node_count;
     edges = t.edge_count;
-    distinct_labels = List.length (labels t);
-    max_out_degree = max_deg t.adj_out;
-    max_in_degree = max_deg t.adj_in;
+    distinct_labels = Array.length c.label_of_slot;
+    max_out_degree = max_deg c.fwd;
+    max_in_degree = max_deg c.bwd;
   }
 
 let pp_stats ppf s =

@@ -16,14 +16,14 @@
     Oids are dense integers allocated from 0, so client code can use arrays
     and {!Oid_set} bitmaps keyed by oid.
 
-    The store has two phases.  During the {e build} phase, adjacency lives in
-    per-label hashtables and every construction function is available.
-    {!freeze} then distils the adjacency into a compressed sparse row (CSR)
-    index — per used label and direction, an offsets/targets int-array pair
-    with each node's row sorted ascending — and every traversal function
-    becomes a zero-allocation range scan over it.  Mutating a frozen graph is
-    allowed: it simply drops the index (queries fall back to the hashtables)
-    until {!freeze} is called again. *)
+    Edges are kept in an insertion-ordered log, the store's only source of
+    truth.  Every read goes through one compressed sparse row (CSR) index
+    built from the log — per used label and direction, an offsets/targets
+    int-array pair with each node's row sorted ascending — so every
+    traversal function is a zero-allocation range scan over it.  {!freeze}
+    builds the index; a lookup on a graph with no current index builds it
+    first.  Mutation ({!add_node}, {!add_edge}) is allowed at any time and
+    drops the index, which the next {!freeze} or lookup rebuilds. *)
 
 type t
 
@@ -52,24 +52,18 @@ val add_edge : t -> int -> int -> int -> unit
 val add_edge_s : t -> int -> string -> int -> unit
 (** [add_edge_s g src label dst] interns [label] and adds the edge. *)
 
-(** {1 Freezing}
+(** {1 The index}
 
-    Call {!freeze} once the graph is loaded, before running queries: the
-    engine's hot path ([Succ]'s neighbour scans) is allocation-free only on
-    the frozen index. *)
+    Call {!freeze} once the graph is loaded, before running queries, so the
+    first query does not pay for the build.  The index is built on the
+    calling domain: freeze before sharing a graph between domains. *)
 
 val freeze : t -> unit
-(** Build the CSR index from the current adjacency.  Idempotent; invalidated
-    automatically by {!add_node}/{!add_edge}. *)
-
-val unfreeze : t -> unit
-(** Drop the CSR index, reverting traversals to the hashtable path (used by
-    benchmarks and tests to compare both). *)
-
-val frozen : t -> bool
+(** Build the CSR index from the edge log, by counting sort.  Idempotent
+    until the next {!add_node}/{!add_edge}. *)
 
 val csr_bytes : t -> int
-(** Heap footprint of the CSR index in bytes, 0 when not frozen. *)
+(** Heap footprint of the CSR index in bytes (built first if needed). *)
 
 (** {1 Lookup} *)
 
@@ -87,20 +81,19 @@ val labels : t -> int list
     exist), in interned-id order. *)
 
 val mem_edge : t -> int -> int -> int -> bool
-(** [mem_edge g src label dst] — linear in the out-degree of [src] under
-    [label]. *)
+(** [mem_edge g src label dst] — a binary search in the out-row of [src]
+    under [label]. *)
 
 (** {1 Traversal (the Sparksee API surface)} *)
 
 val neighbors : t -> int -> int -> dir -> int list
 (** [neighbors g n label dir]: nodes connected to [n] by a [label] edge in
-    the given direction.  [Both] concatenates outgoing then incoming.  On a
-    frozen graph each direction comes out in ascending oid order; prefer
+    the given direction.  [Both] concatenates outgoing then incoming.  Each
+    direction comes out in ascending oid order; prefer
     {!iter_neighbors}, which allocates nothing. *)
 
 val iter_neighbors : t -> int -> int -> dir -> (int -> unit) -> unit
-(** Allocation-free variant of {!neighbors}: a single offset-range scan on a
-    frozen graph. *)
+(** Allocation-free variant of {!neighbors}: a single offset-range scan. *)
 
 val iter_neighbors_any : t -> int -> (int -> unit) -> unit
 (** All neighbours of [n] over every label, both directions — the retrieval
@@ -111,8 +104,7 @@ val iter_neighbors_any : t -> int -> (int -> unit) -> unit
 
 val iter_neighbors_all_labels : t -> int -> dir -> (int -> unit) -> unit
 (** Neighbours of [n] under {e every} label in one direction (the APPROX
-    [Any_dir] transition): on a frozen graph, a merged scan of the per-label
-    ranges. *)
+    [Any_dir] transition): a merged scan of the per-label ranges. *)
 
 val iter_neighbors_labels : t -> int -> int array -> dir -> (int -> unit) -> unit
 (** Neighbours of [n] under a restricted label set (the RELAX sub-property
@@ -120,7 +112,7 @@ val iter_neighbors_labels : t -> int -> int array -> dir -> (int -> unit) -> uni
 
 val has_adjacent : t -> int -> int -> dir -> bool
 (** [has_adjacent g n label dir]: whether [n] carries at least one [label]
-    edge in the given direction — O(1) on a frozen graph.  Seeding uses this
+    edge in the given direction — O(1).  Seeding uses this
     to enumerate start nodes without materialising oid sets. *)
 
 val tails_by_label : t -> int -> Oid_set.t
@@ -143,7 +135,8 @@ val iter_nodes : t -> (int -> unit) -> unit
 (** Visit every oid in increasing order. *)
 
 val iter_edges : t -> (int -> int -> int -> unit) -> unit
-(** [iter_edges g f] applies [f src label dst] to every stored edge. *)
+(** [iter_edges g f] applies [f src label dst] to every stored edge, in
+    insertion order (duplicates included). *)
 
 (** {1 Statistics} *)
 

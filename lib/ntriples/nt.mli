@@ -28,7 +28,11 @@ val write_ontology : out_channel -> Ontology.t -> unit
 
 val save :
   string -> graph:Graphstore.Graph.t -> ontology:Ontology.t -> unit
-(** [save path ~graph ~ontology] writes both into one file. *)
+(** [save path ~graph ~ontology] writes both into one file: the graph's
+    edges in insertion order (see {!Graphstore.Graph.iter_edges}), then a
+    marker triple for every isolated node in oid order, then the ontology.
+    Since {!load} inserts edges in file order, [save] output is a fixed
+    point: loading and saving it again reproduces it byte for byte. *)
 
 (** {1 Reading} *)
 

@@ -79,7 +79,7 @@ let gen_instance ~mode =
 let name_of inst i =
   if i < inst.n_base then Printf.sprintf "n%d" i else Printf.sprintf "C%d" (i - inst.n_base)
 
-let build inst =
+let build ?(freeze = true) inst =
   let g = Graph.create () in
   for i = 0 to inst.n_base + n_classes - 1 do
     ignore (Graph.add_node g (name_of inst i))
@@ -93,8 +93,9 @@ let build inst =
   Ontology.add_subproperty k "p" "super";
   Ontology.add_domain k "p" "C0";
   Ontology.add_range k "p" "C1";
-  (* the engine side always runs on the frozen CSR index *)
-  Graph.freeze g;
+  (* build the CSR index up front, as every loader does; [~freeze:false]
+     leaves it to the first lookup *)
+  if freeze then Graph.freeze g;
   (g, k)
 
 (* Domain counts the property suites sweep.  The determinism contract

@@ -179,28 +179,29 @@ let test_graph_bad_oid () =
   Alcotest.check_raises "bad oid" (Invalid_argument "Graph.node_label: unknown oid 99") (fun () ->
       ignore (Graph.node_label g 99))
 
-(* --- frozen (CSR) graphs -------------------------------------------- *)
+(* --- the CSR index ---------------------------------------------------- *)
 
+(* Reads need no explicit [freeze], and every mutation is visible to the
+   next read, whether or not the index was built in between. *)
 let test_freeze_lifecycle () =
-  let g, a, b, _ = small_graph () in
-  check Alcotest.bool "starts unfrozen" false (Graph.frozen g);
-  check Alcotest.int "no index, no bytes" 0 (Graph.csr_bytes g);
+  let g, a, b, c = small_graph () in
+  let q = Interner.intern (Graph.interner g) "q" in
+  check Alcotest.(list int) "read before any freeze" [ c ] (Graph.neighbors g a q Graph.Out);
   Graph.freeze g;
-  check Alcotest.bool "frozen" true (Graph.frozen g);
   check Alcotest.bool "index has bytes" true (Graph.csr_bytes g > 0);
   Graph.freeze g;
-  check Alcotest.bool "freeze is idempotent" true (Graph.frozen g);
-  ignore (Graph.add_node g "d");
-  check Alcotest.bool "add_node invalidates" false (Graph.frozen g);
+  check Alcotest.(list int) "freeze is idempotent" [ c ] (Graph.neighbors g a q Graph.Out);
+  let d = Graph.add_node g "d" in
+  check Alcotest.(list int) "add_node: new node readable" [] (Graph.neighbors g d q Graph.Out);
+  check Alcotest.int "add_node: stats see it" 4 (Graph.stats g).Graph.nodes;
   Graph.freeze g;
   Graph.add_edge_s g b "q" a;
-  check Alcotest.bool "add_edge invalidates" false (Graph.frozen g);
-  Graph.freeze g;
-  Graph.unfreeze g;
-  check Alcotest.bool "unfreeze" false (Graph.frozen g)
+  check Alcotest.(list int) "add_edge after freeze is read" [ b ] (Graph.neighbors g a q Graph.In);
+  check Alcotest.bool "add_edge: mem_edge sees it" true (Graph.mem_edge g b q a);
+  Graph.add_edge_s g d "q" a;
+  check Alcotest.(list int) "add_edge after a read is read" [ b; d ]
+    (Graph.neighbors g a q Graph.In)
 
-(* The frozen twins of the hashtable-path adjacency tests: same answers,
-   served from packed sorted ranges. *)
 let test_frozen_adjacency () =
   let g, a, b, c = small_graph () in
   Graph.freeze g;
@@ -243,48 +244,94 @@ let test_frozen_label_sweeps () =
   check Alcotest.(list int) "unused label" []
     (collect (fun f -> Graph.iter_neighbors g a (intern "ghost") Graph.Out f))
 
-(* Property: freezing never changes any adjacency answer.  Every query the
-   store offers is taken both before and after [freeze] on random graphs
-   (list answers sorted: rows are packed in ascending order, hashtable
-   cells in insertion order). *)
-let frozen_matches_unfrozen =
-  QCheck2.Test.make ~name:"frozen CSR = hashtable adjacency" ~count:100
-    QCheck2.Gen.(list_size (int_range 0 80) (triple (int_bound 14) (int_bound 3) (int_bound 14)))
-    (fun edges ->
-      let g = Graph.create () in
-      for i = 0 to 14 do
+(* Model-based property: every adjacency query agrees with a list model
+   built from the generated edge list (duplicates included).  The graph is
+   read once, optionally frozen, then one more edge is added; the next read
+   must see it. *)
+let adjacency_matches_model =
+  let n_nodes = 12 and n_labels = 4 in
+  let gen_edge =
+    QCheck2.Gen.(
+      triple (int_bound (n_nodes - 1)) (int_bound (n_labels - 1)) (int_bound (n_nodes - 1)))
+  in
+  QCheck2.Test.make ~name:"adjacency = edge-list model" ~count:100
+    QCheck2.Gen.(quad (list_size (int_range 0 60) gen_edge) (int_bound 10) gen_edge bool)
+    (fun (edges, n_dups, extra, freeze) ->
+      (* repeat a prefix so duplicate edges are always exercised *)
+      let edges = edges @ List.filteri (fun i _ -> i < n_dups) edges in
+      let g = Graph.create ~initial_nodes:1 () in
+      for i = 0 to n_nodes - 1 do
         ignore (Graph.add_node g (Printf.sprintf "v%d" i))
       done;
-      List.iter (fun (s, l, d) -> Graph.add_edge_s g s (Printf.sprintf "l%d" l) d) edges;
-      let labels =
-        List.init 4 (fun l -> Interner.intern (Graph.interner g) (Printf.sprintf "l%d" l))
-      in
+      let label l = Interner.intern (Graph.interner g) (Printf.sprintf "l%d" l) in
+      let labels = List.init n_labels label and nodes = List.init n_nodes Fun.id in
+      let sorted = List.sort compare and uniq = List.sort_uniq compare in
       let collect f =
         let acc = ref [] in
         f (fun m -> acc := m :: !acc);
-        List.sort compare !acc
+        sorted !acc
       in
-      let snapshot () =
-        List.map
-          (fun n ->
-            ( List.map
-                (fun l ->
-                  ( List.map (fun dir -> List.sort compare (Graph.neighbors g n l dir))
-                      [ Graph.Out; Graph.In; Graph.Both ],
-                    Graph.mem_edge g n l ((n + 1) mod 15),
-                    (Graph.out_degree g n l, Graph.in_degree g n l),
-                    (Graph.has_adjacent g n l Graph.Out, Graph.has_adjacent g n l Graph.In),
-                    (Oid_set.to_list (Graph.tails_by_label g l),
-                     Oid_set.to_list (Graph.heads_by_label g l)) ))
-                labels,
-              collect (Graph.iter_neighbors_any g n),
-              collect (Graph.iter_neighbors_all_labels g n Graph.Out),
-              collect (Graph.iter_neighbors_all_labels g n Graph.In) ))
-          (List.init 15 Fun.id)
+      let agrees edges =
+        let edges = List.map (fun (s, l, d) -> (s, label l, d)) edges in
+        let under l = List.filter (fun (_, l', _) -> l' = l) edges in
+        let ends n l pick = sorted (List.filter_map (pick n) (under l)) in
+        let outs n l = ends n l (fun n (s, _, d) -> if s = n then Some d else None)
+        and ins n l = ends n l (fun n (s, _, d) -> if d = n then Some s else None) in
+        let per_node l n =
+          let o = outs n l and i = ins n l in
+          Graph.neighbors g n l Graph.Out = o
+          && Graph.neighbors g n l Graph.In = i
+          && Graph.neighbors g n l Graph.Both = o @ i
+          && Graph.out_degree g n l = List.length o
+          && Graph.in_degree g n l = List.length i
+          && Graph.has_adjacent g n l Graph.Out = (o <> [])
+          && Graph.has_adjacent g n l Graph.In = (i <> [])
+          && Graph.has_adjacent g n l Graph.Both = (o <> [] || i <> [])
+          && List.for_all (fun m -> Graph.mem_edge g n l m = List.mem m o) nodes
+        in
+        let per_label l =
+          let tails = uniq (List.map (fun (s, _, _) -> s) (under l))
+          and heads = uniq (List.map (fun (_, _, d) -> d) (under l)) in
+          Oid_set.to_list (Graph.tails_by_label g l) = tails
+          && Oid_set.to_list (Graph.heads_by_label g l) = heads
+          && Oid_set.to_list (Graph.tails_and_heads g l) = uniq (tails @ heads)
+          && List.for_all (per_node l) nodes
+        in
+        let sweeps n =
+          let over ls f = sorted (List.concat_map f ls) in
+          let both l = outs n l @ ins n l in
+          collect (Graph.iter_neighbors_any g n) = over labels both
+          && collect (Graph.iter_neighbors_all_labels g n Graph.Out) = over labels (outs n)
+          && collect (Graph.iter_neighbors_all_labels g n Graph.In) = over labels (ins n)
+          && collect (Graph.iter_neighbors_labels g n [| label 0; label 2 |] Graph.Both)
+             = over [ label 0; label 2 ] both
+        in
+        let max_degree f =
+          List.fold_left (fun acc (n, l) -> max acc (List.length (f n l))) 0
+            (List.concat_map (fun n -> List.map (fun l -> (n, l)) labels) nodes)
+        in
+        let logged = ref [] in
+        Graph.iter_edges g (fun s l d -> logged := (s, l, d) :: !logged);
+        let used = uniq (List.map (fun (_, l, _) -> l) edges) in
+        List.for_all per_label labels
+        && List.for_all sweeps nodes
+        && List.rev !logged = edges
+        && Graph.labels g = used
+        && Graph.stats g
+           = {
+               Graph.nodes = n_nodes;
+               edges = List.length edges;
+               distinct_labels = List.length used;
+               max_out_degree = max_degree outs;
+               max_in_degree = max_degree ins;
+             }
       in
-      let before = snapshot () in
-      Graph.freeze g;
-      before = snapshot ())
+      let add (s, l, d) = Graph.add_edge g s (label l) d in
+      List.iter add edges;
+      let before = agrees edges in
+      if freeze then Graph.freeze g;
+      add extra;
+      before && agrees (edges @ [ extra ]))
 
 (* Property: adjacency is symmetric — m is an Out-neighbour of n under l
    iff n is an In-neighbour of m under l, for random graphs. *)
@@ -337,6 +384,6 @@ let () =
           Alcotest.test_case "freeze lifecycle" `Quick test_freeze_lifecycle;
           Alcotest.test_case "frozen adjacency" `Quick test_frozen_adjacency;
           Alcotest.test_case "frozen label sweeps" `Quick test_frozen_label_sweeps;
-          QCheck_alcotest.to_alcotest frozen_matches_unfrozen;
+          QCheck_alcotest.to_alcotest adjacency_matches_model;
         ] );
     ]

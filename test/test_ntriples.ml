@@ -198,6 +198,32 @@ let test_generated_dataset_roundtrip () =
       in
       check Alcotest.(list (list string)) "same answers" (on g k) (on g' k'))
 
+(* [save] writes edges in insertion order and [load] inserts them in file
+   order, so once a file has been through one load/save cycle, another
+   cycle reproduces it byte for byte. *)
+let test_save_deterministic () =
+  let read_all path = In_channel.with_open_bin path In_channel.input_all in
+  let resave src dst =
+    let graph, ontology = Nt.load src in
+    Nt.save dst ~graph ~ontology
+  in
+  List.iter
+    (fun (name, (graph, ontology)) ->
+      with_temp_file (fun f ->
+          with_temp_file (fun once ->
+              with_temp_file (fun twice ->
+                  Nt.save f ~graph ~ontology;
+                  resave f once;
+                  resave once twice;
+                  check Alcotest.bool (name ^ ": save (load f) = save (load (save (load f)))") true
+                    (read_all once = read_all twice)))))
+    [
+      ("L4All", Datagen.L4all.generate ~timelines:21 ());
+      ( "YAGO",
+        let params = { Datagen.Yago_sim.default_params with scale = 0.005 } in
+        Datagen.Yago_sim.generate ~params () );
+    ]
+
 let () =
   Alcotest.run "ntriples"
     [
@@ -206,6 +232,7 @@ let () =
           Alcotest.test_case "graph + ontology" `Quick test_roundtrip;
           Alcotest.test_case "escaping" `Quick test_escaping;
           Alcotest.test_case "generated dataset" `Quick test_generated_dataset_roundtrip;
+          Alcotest.test_case "save is deterministic" `Quick test_save_deterministic;
         ] );
       ( "parsing",
         [

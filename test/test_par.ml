@@ -125,6 +125,70 @@ let provenance_prop =
   det_prop "parallel witnesses: hop costs sum to distance" ~provenance:true ~count:30
     ~mode:Q.Approx O.default
 
+(* --- the shard graph's CSR index ------------------------------------------ *)
+
+(* The shards read the graph concurrently, so the evaluator builds its CSR
+   index before any worker domain starts.  A graph that was never frozen,
+   and one mutated (a new node and a new edge) after [freeze], must both
+   answer at every parallel count exactly as the frozen sequential run. *)
+let unfrozen_prop =
+  QCheck2.Test.make ~name:"parallel on a never-frozen or mutated graph = frozen sequential"
+    ~count:25 (gen_instance ~mode:Q.Approx)
+    (fun inst ->
+      let inst = { inst with subj = `Var; obj = `Fresh } in
+      let conjunct = conjunct_of inst in
+      let run ~domains (g, k) = stream ~domains ~provenance:false O.default g k conjunct in
+      let mutate (g, k) =
+        let extra = Graphstore.Graph.add_node g "extra" in
+        Graphstore.Graph.add_edge_s g extra "p" 0;
+        (g, k)
+      in
+      let frozen_seq = List.sort compare (run ~domains:1 (build inst)) in
+      let mutated_seq =
+        let g, k = mutate (build inst) in
+        Graphstore.Graph.freeze g;
+        List.sort compare (run ~domains:1 (g, k))
+      in
+      List.for_all
+        (fun domains ->
+          run ~domains (build ~freeze:false inst) = frozen_seq
+          && run ~domains (mutate (build inst)) = mutated_seq)
+        [ 2; 4 ])
+
+(* --- seed-shard balance ------------------------------------------------ *)
+
+(* Only even oids seed answers here: [p] edges run from [2i] to [2i + 1].
+   Sharding seeds by the raw [oid mod N] would hand every answer to the
+   even shards; mixing the oid first must leave every shard some work. *)
+let even_seeds_balance () =
+  let g = Graphstore.Graph.create () in
+  for i = 0 to 199 do
+    ignore (Graphstore.Graph.add_node g (Printf.sprintf "n%d" i))
+  done;
+  for i = 0 to 99 do
+    Graphstore.Graph.add_edge_s g (2 * i) "p" ((2 * i) + 1)
+  done;
+  Graphstore.Graph.freeze g;
+  let k = Ontology.create (Graphstore.Graph.interner g) in
+  let conjunct = Q.conjunct ~mode:Q.Exact (Q.Var "X") (R.lbl "p") (Q.Var "Y") in
+  List.iter
+    (fun domains ->
+      let ev =
+        Core.Evaluator.create ~graph:g ~ontology:k ~options:{ O.default with O.domains } conjunct
+      in
+      let answers = List.length (Core.Evaluator.take ev max_int) in
+      Alcotest.(check int) "all answers" 100 answers;
+      let report = Core.Evaluator.shard_report ev in
+      Alcotest.(check int) (Printf.sprintf "every shard reports (domains=%d)" domains) domains
+        (List.length report);
+      List.iter
+        (fun (shard, _, n) ->
+          Alcotest.(check bool)
+            (Printf.sprintf "shard %d of %d delivers answers" shard domains)
+            true (n > 0))
+        report)
+    [ 2; 4 ]
+
 (* --- reentrancy regression --------------------------------------------- *)
 
 (* Two engine runs in flight at once — one on the initial domain, one on a
@@ -187,5 +251,8 @@ let () =
           QCheck_alcotest.to_alcotest case2_prop;
           QCheck_alcotest.to_alcotest provenance_prop;
         ] );
+      ("csr index", [ QCheck_alcotest.to_alcotest unfrozen_prop ]);
+      ( "sharding",
+        [ Alcotest.test_case "even-only seeds reach every shard" `Quick even_seeds_balance ] );
       ("reentrancy", [ Alcotest.test_case "two concurrent engine runs" `Quick concurrent_runs ]);
     ]
