@@ -885,8 +885,58 @@ let scan_throughput () =
   | Ok o -> Format.printf "L4All Q10 APPROX top-100 stats: %a@." Core.Exec_stats.pp o.Engine.stats
   | Error m -> failwith m
 
+(* Dedup structures on the evaluator's own keys: the (v, n, s) triples of
+   one Q4 [(?X, job.type, ?Y)] drain — each seed at state 0, its job
+   neighbours at 1, their type neighbours at 2 — probed then inserted, as
+   [Conjunct.get_next] does.  Each arm starts at its evaluator's initial
+   size; the [Hashtbl] arms box the key per probe, as the evaluator did
+   before [Tuple_set]. *)
+let dedup_pairs () =
+  header "[MICRO] tuple-set: insert+lookup pairs on one Q4 drain's (v, n, s) triples";
+  let g, _ = l4_graph (List.hd !scales) in
+  let lbl = Graphstore.Interner.intern (Graph.interner g) in
+  let job = lbl "job" and typ = lbl "type" in
+  let acc = ref [] in
+  let visit v n s = acc := s :: n :: v :: !acc in
+  Graph.iter_nodes g (fun v ->
+      if Graph.has_adjacent g v job Graph.Out then begin
+        visit v v 0;
+        Graph.iter_neighbors g v job Graph.Out (fun m ->
+            visit v m 1;
+            Graph.iter_neighbors g m typ Graph.Out (fun t -> visit v t 2))
+      end);
+  let flat = Array.of_list (List.rev !acc) in
+  let pairs = Array.length flat / 3 in
+  let reps = max 3 !runs in
+  let time name run =
+    run () (* warm-up *);
+    let t0 = Unix.gettimeofday () in
+    for _ = 1 to reps do
+      run ()
+    done;
+    Printf.printf "tuple-set %-26s %7.1f ns/pair (%d pairs)\n" name
+      ((Unix.gettimeofday () -. t0) *. 1e9 /. float_of_int (reps * pairs))
+      pairs
+  in
+  let hashtbl size () =
+    let h = Hashtbl.create size in
+    for i = 0 to pairs - 1 do
+      let key = (flat.(3 * i), flat.((3 * i) + 1), flat.((3 * i) + 2)) in
+      if not (Hashtbl.mem h key) then Hashtbl.add h key ()
+    done
+  in
+  time "Hashtbl (create 1024)" (hashtbl 1024);
+  time "Hashtbl (presized)" (hashtbl pairs);
+  time "Tuple_set (create 32)" (fun () ->
+      let set = Core.Tuple_set.create ~width:3 32 and key = Array.make 3 0 in
+      for i = 0 to pairs - 1 do
+        Array.blit flat (3 * i) key 0 3;
+        if not (Core.Tuple_set.mem set key) then ignore (Core.Tuple_set.add_new set key)
+      done)
+
 let micro () =
   scan_throughput ();
+  dedup_pairs ();
   header "[MICRO] Bechamel micro-benchmarks (one per table/figure)";
   let open Bechamel in
   let l4_small = l4_graph (List.hd !scales) in

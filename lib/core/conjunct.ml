@@ -11,13 +11,30 @@ type tup = { v : int; n : int; s : int; fin : bool; prov : int }
    final/non-final distinction.  [prov] is the tuple's provenance-arena
    index, [Provenance.no_parent] whenever provenance is off. *)
 
+(* The U-cache of §3.4 as a reusable buffer: consecutive transitions with
+   the same label share one neighbour scan, and no per-lookup list is
+   allocated. *)
+type ucache = { mutable buf : int array; mutable len : int }
+
+let ucache_add u m =
+  if u.len = Array.length u.buf then begin
+    let bigger = Array.make (2 * u.len) 0 in
+    Array.blit u.buf 0 bigger 0 u.len;
+    u.buf <- bigger
+  end;
+  u.buf.(u.len) <- m;
+  u.len <- u.len + 1
+
 type t = {
   graph : Graph.t;
   nfa : Nfa.t;
   dr : tup Dr_queue.t;
-  visited : (int * int * int, unit) Hashtbl.t;
-  answers : (int * int, int) Hashtbl.t; (* (v, n) -> first emission distance *)
-  suppress : (int * int, int) Hashtbl.t option;
+  visited : Tuple_set.t; (* (v, n, s) *)
+  answers : Tuple_set.t; (* (v, n) emitted by this run *)
+  suppress : Tuple_set.t option; (* (v, n) emitted by earlier ψ restarts *)
+  key3 : int array; (* probe buffers for the two tables *)
+  key2 : int array;
+  final_weight : int array; (* per automaton state; -1 if not final *)
   seeder : Seeder.t;
   target : int option; (* final-state annotation: object constant's oid *)
   same_var : bool; (* subject and object are the same variable *)
@@ -27,11 +44,8 @@ type t = {
   governor : Governor.t;
   mutable was_pruned : bool;
   opts : Options.t;
-  (* The U-cache of §3.4 as a reusable buffer: consecutive transitions with
-     the same label share one neighbour scan, and no per-lookup list is
-     allocated. *)
-  mutable ubuf : int array;
-  mutable ulen : int;
+  ucache : ucache;
+  ucache_add : int -> unit; (* [ucache_add ucache], built once at open *)
   (* Distribution metrics, handles resolved once at open time so recording
      is an array increment (kept unconditional — cheaper than a branch that
      would misrepresent the run when observability is on). *)
@@ -119,13 +133,21 @@ let open_ ~graph ~ontology ~options ?governor ?metrics ?ceiling ?suppress ?seed_
   let same_var =
     match (subj, obj) with Query.Var a, Query.Var b -> a = b | _ -> false
   in
+  let ucache = { buf = Array.make 64 0; len = 0 } in
   {
     graph;
     nfa;
     dr = Dr_queue.create ();
-    visited = Hashtbl.create 1024;
-    answers = Hashtbl.create 64;
+    (* 32 entries: 96 words, small enough for the GC's size-class pools;
+       a daemon opens one per conjunct and ψ level of every request *)
+    visited = Tuple_set.create ~width:3 32;
+    answers = Tuple_set.create ~width:2 64;
     suppress;
+    key3 = Array.make 3 0;
+    key2 = Array.make 2 0;
+    final_weight =
+      Array.init (Nfa.n_states nfa) (fun s ->
+          match Nfa.final_weight nfa s with Some w -> w | None -> -1);
     seeder;
     target;
     same_var;
@@ -135,8 +157,8 @@ let open_ ~graph ~ontology ~options ?governor ?metrics ?ceiling ?suppress ?seed_
     governor;
     was_pruned = false;
     opts = options;
-    ubuf = Array.make 64 0;
-    ulen = 0;
+    ucache;
+    ucache_add = ucache_add ucache;
     h_queue_depth = Obs.Metrics.histogram metrics "queue_depth";
     h_succ_edges = Obs.Metrics.histogram metrics "succ_edges";
     h_seed_batch_ns = Obs.Metrics.histogram metrics "seed_batch_ns";
@@ -193,63 +215,30 @@ let describe ~graph ~ontology ~options (conjunct : Query.conjunct) =
    of [n] in both directions (the paper issues Neighbors over the generic
    'edge' type plus 'type', both ways).  Every arm is a range scan over the
    CSR index; nothing is allocated. *)
-let iter_neighbours_by_edge t n (lbl : Nfa.tlabel) f =
+let iter_neighbours_by_edge t s n (lbl : Nfa.tlabel) f =
   let dir_of : Nfa.dir -> Graph.dir = function Fwd -> Graph.Out | Bwd -> Graph.In in
   match lbl with
-  | Nfa.Eps -> assert false (* the compiled automaton is ε-free *)
+  | Nfa.Eps ->
+    Invariant.fail
+      "Conjunct.iter_neighbours_by_edge: ε-transition leaving state %d (node %d) of a %d-state \
+       automaton (compiled automata are ε-free)"
+      s n (Nfa.n_states t.nfa)
   | Nfa.Sym (d, a) -> Graph.iter_neighbors t.graph n a (dir_of d) f
   | Nfa.Any -> Graph.iter_neighbors_any t.graph n f
   | Nfa.Any_dir d -> Graph.iter_neighbors_all_labels t.graph n (dir_of d) f
   | Nfa.Sub_closure (d, ls) -> Graph.iter_neighbors_labels t.graph n ls (dir_of d) f
   | Nfa.Type_to c -> if Graph.mem_edge t.graph n (Graph.type_label t.graph) c then f c
 
-let ubuf_push t m =
-  if t.ulen = Array.length t.ubuf then begin
-    let bigger = Array.make (2 * t.ulen) 0 in
-    Array.blit t.ubuf 0 bigger 0 t.ulen;
-    t.ubuf <- bigger
-  end;
-  t.ubuf.(t.ulen) <- m;
-  t.ulen <- t.ulen + 1
-
-let fill_ucache t n lbl =
+let fill_ucache t s n lbl =
   Failpoints.check Failpoints.Graph_scan;
-  t.ulen <- 0;
+  t.ucache.len <- 0;
   let t0 = !Exec_stats.now_ns () in
-  iter_neighbours_by_edge t n lbl (fun m -> ubuf_push t m);
+  iter_neighbours_by_edge t s n lbl t.ucache_add;
+  let len = t.ucache.len in
   t.stats.scan_ns <- t.stats.scan_ns + (!Exec_stats.now_ns () - t0);
-  t.stats.edges_scanned <- t.stats.edges_scanned + t.ulen;
-  t.stats.adjacency_bytes <- t.stats.adjacency_bytes + (t.ulen * (Sys.word_size / 8));
-  Obs.Metrics.observe t.h_succ_edges t.ulen
-
-(* [Succ (s, n)]: transitions leaving (s, n) in the product automaton H_R,
-   delivered to [f tr m] (the automaton transition taken and the neighbour
-   reached — provenance needs the whole transition, its ops included).
-   Out-transitions are sorted by label
-   (Nfa.normalize), so consecutive identical labels reuse the U-cache buffer
-   filled by the previous scan (§3.4).
-
-   Distance-aware retrieval prunes here, before the neighbour lookup: a
-   transition that would exceed the ψ ceiling never touches the graph store —
-   this is where the §4.3 optimisation saves its work. *)
-let iter_succ t s n ~dist f =
-  t.stats.succ_calls <- t.stats.succ_calls + 1;
-  let cached : Nfa.tlabel option ref = ref None in
-  List.iter
-    (fun (tr : Nfa.transition) ->
-      match t.ceiling with
-      | Some psi when dist + tr.cost > psi ->
-        t.was_pruned <- true;
-        t.stats.pruned <- t.stats.pruned + 1
-      | _ ->
-        if !cached <> Some tr.lbl then begin
-          fill_ucache t n tr.lbl;
-          cached := Some tr.lbl
-        end;
-        for i = 0 to t.ulen - 1 do
-          f tr t.ubuf.(i)
-        done)
-    (Nfa.out t.nfa s)
+  t.stats.edges_scanned <- t.stats.edges_scanned + len;
+  t.stats.adjacency_bytes <- t.stats.adjacency_bytes + (len * (Sys.word_size / 8));
+  Obs.Metrics.observe t.h_succ_edges len
 
 let push t ~dist ~final tup =
   match t.ceiling with
@@ -289,8 +278,8 @@ let prov_arena t =
    caller and keeps its own charges. *)
 let close t =
   Governor.release_mem t.governor (Dr_queue.size t.dr * Mem.tuple_bytes);
-  Governor.release_mem t.governor (Hashtbl.length t.visited * Mem.visited_entry_bytes);
-  Governor.release_mem t.governor (Hashtbl.length t.answers * Mem.visited_entry_bytes);
+  Governor.release_mem t.governor (Tuple_set.cardinal t.visited * Mem.visited_entry_bytes);
+  Governor.release_mem t.governor (Tuple_set.cardinal t.answers * Mem.visited_entry_bytes);
   match t.prov with
   | None -> ()
   | Some arena ->
@@ -342,8 +331,10 @@ let refill_if_needed t =
   done
 
 let already_answered t v n =
-  Hashtbl.mem t.answers (v, n)
-  || match t.suppress with Some tbl -> Hashtbl.mem tbl (v, n) | None -> false
+  t.key2.(0) <- v;
+  t.key2.(1) <- n;
+  Tuple_set.mem t.answers t.key2
+  || match t.suppress with Some set -> Tuple_set.mem set t.key2 | None -> false
 
 let annotation_matches t tup =
   (match t.target with Some oid -> tup.n = oid | None -> true)
@@ -384,12 +375,14 @@ let h_op t : Nfa.op -> Obs.Metrics.histogram = function
   | Nfa.Type_edge -> t.h_ops_relax_gamma
 
 let record_answer t tup dist =
-  (* [already_answered] held, so the keys are new in both tables. *)
-  Hashtbl.replace t.answers (tup.v, tup.n) dist;
+  (* [already_answered] held, so the pair is new to both sets. *)
+  t.key2.(0) <- tup.v;
+  t.key2.(1) <- tup.n;
+  ignore (Tuple_set.add_new t.answers t.key2);
   Governor.charge_mem t.governor Mem.visited_entry_bytes;
   (match t.suppress with
-  | Some tbl ->
-    Hashtbl.replace tbl (tup.v, tup.n) dist;
+  | Some set ->
+    ignore (Tuple_set.add_new set t.key2);
     Governor.charge_mem t.governor Mem.visited_entry_bytes
   | None -> ());
   t.stats.answers <- t.stats.answers + 1;
@@ -399,51 +392,93 @@ let record_answer t tup dist =
   | None -> ());
   if t.swap then { x = tup.n; y = tup.v; dist; witness } else { x = tup.v; y = tup.n; dist; witness }
 
+(* Consecutive out-transitions share a neighbour scan when their labels are
+   equal (the U-cache); [Sub_closure] arrays compare by content. *)
+let same_label (a : Nfa.tlabel) (b : Nfa.tlabel) =
+  match (a, b) with
+  | Nfa.Sym (d, x), Nfa.Sym (e, y) -> d = e && x = y
+  | Nfa.Any, Nfa.Any -> true
+  | Nfa.Any_dir d, Nfa.Any_dir e -> d = e
+  | Nfa.Sub_closure (d, xs), Nfa.Sub_closure (e, ys) -> d = e && xs = ys
+  | Nfa.Type_to c, Nfa.Type_to c' -> c = c'
+  | _ -> false
+
+let push_succ t tup dist (tr : Nfa.transition) m =
+  let s' = tr.Nfa.dst in
+  t.key3.(0) <- tup.v;
+  t.key3.(1) <- m;
+  t.key3.(2) <- s';
+  if not (Tuple_set.mem t.visited t.key3) then begin
+    (* the one provenance branch on the hot path: off, [prov] is the
+       shared [no_parent] sentinel and nothing is allocated *)
+    let prov =
+      match prov_arena t with
+      | None -> Provenance.no_parent
+      | Some arena ->
+        Governor.charge_mem t.governor Mem.prov_entry_bytes;
+        Provenance.add arena ~parent:tup.prov ~node:m (Provenance.Step tr)
+    in
+    push t ~dist:(dist + tr.Nfa.cost) ~final:false { v = tup.v; n = m; s = s'; fin = false; prov }
+  end
+
+(* [Succ (s, n)] of §3.4 fused with GetNext's successor loop: every
+   transition leaving (s, n) in the product automaton H_R, each neighbour it
+   reaches pushed unless already visited (provenance records the whole
+   transition, its ops included).  Out-transitions are sorted by label
+   (Nfa.normalize), so a transition whose label equals [scanned], the label
+   of the last scan, reuses the U-cache buffer that scan filled.  [scanned]
+   starts as [Eps], which no compiled transition carries.
+
+   Distance-aware retrieval prunes here, before the neighbour lookup: a
+   transition that would exceed the ψ ceiling never touches the graph store —
+   this is where the §4.3 optimisation saves its work. *)
+let rec expand t tup dist scanned = function
+  | [] -> ()
+  | (tr : Nfa.transition) :: rest -> (
+    match t.ceiling with
+    | Some psi when dist + tr.cost > psi ->
+      t.was_pruned <- true;
+      t.stats.pruned <- t.stats.pruned + 1;
+      expand t tup dist scanned rest
+    | _ ->
+      if not (same_label scanned tr.lbl) then fill_ucache t tup.s tup.n tr.lbl;
+      for i = 0 to t.ucache.len - 1 do
+        push_succ t tup dist tr t.ucache.buf.(i)
+      done;
+      expand t tup dist tr.lbl rest)
+
 let rec get_next t =
   if not (Governor.poll t.governor) then None
   else begin
-  refill_if_needed t;
-  Obs.Metrics.observe t.h_queue_depth (Dr_queue.size t.dr);
-  match Dr_queue.pop t.dr with
-  | None -> None (* seeder exhausted too, or everything pruned *)
-  | Some (tup, dist, _) when tup.fin ->
-    t.stats.pops <- t.stats.pops + 1;
-    Governor.release_mem t.governor Mem.tuple_bytes;
-    Obs.Metrics.observe t.h_pop_distance dist;
-    if already_answered t tup.v tup.n then begin
-      t.stats.drop_dup <- t.stats.drop_dup + 1;
-      get_next t
+    refill_if_needed t;
+    Obs.Metrics.observe t.h_queue_depth (Dr_queue.size t.dr);
+    if Dr_queue.is_empty t.dr then None (* seeder exhausted too, or everything pruned *)
+    else begin
+      let tup = Dr_queue.pop t.dr in
+      let dist = Dr_queue.popped_dist t.dr in
+      t.stats.pops <- t.stats.pops + 1;
+      Governor.release_mem t.governor Mem.tuple_bytes;
+      Obs.Metrics.observe t.h_pop_distance dist;
+      if tup.fin then
+        if already_answered t tup.v tup.n then begin
+          t.stats.drop_dup <- t.stats.drop_dup + 1;
+          get_next t
+        end
+        else Some (record_answer t tup dist)
+      else begin
+        t.key3.(0) <- tup.v;
+        t.key3.(1) <- tup.n;
+        t.key3.(2) <- tup.s;
+        if Tuple_set.add_new t.visited t.key3 then begin
+          Governor.charge_mem t.governor Mem.visited_entry_bytes;
+          t.stats.succ_calls <- t.stats.succ_calls + 1;
+          expand t tup dist Nfa.Eps (Nfa.out t.nfa tup.s);
+          let weight = t.final_weight.(tup.s) in
+          if weight >= 0 && annotation_matches t tup && not (already_answered t tup.v tup.n) then
+            push t ~dist:(dist + weight) ~final:true { tup with fin = true }
+        end
+        else t.stats.drop_visited <- t.stats.drop_visited + 1;
+        get_next t
+      end
     end
-    else Some (record_answer t tup dist)
-  | Some (tup, dist, _) ->
-    t.stats.pops <- t.stats.pops + 1;
-    Governor.release_mem t.governor Mem.tuple_bytes;
-    Obs.Metrics.observe t.h_pop_distance dist;
-    let key = (tup.v, tup.n, tup.s) in
-    if not (Hashtbl.mem t.visited key) then begin
-      Hashtbl.add t.visited key ();
-      Governor.charge_mem t.governor Mem.visited_entry_bytes;
-      iter_succ t tup.s tup.n ~dist (fun tr m ->
-          let s' = tr.Nfa.dst in
-          if not (Hashtbl.mem t.visited (tup.v, m, s')) then begin
-            (* the one provenance branch on the hot path: off, [prov] is the
-               shared [no_parent] sentinel and nothing is allocated *)
-            let prov =
-              match prov_arena t with
-              | None -> Provenance.no_parent
-              | Some arena ->
-                Governor.charge_mem t.governor Mem.prov_entry_bytes;
-                Provenance.add arena ~parent:tup.prov ~node:m (Provenance.Step tr)
-            in
-            push t ~dist:(dist + tr.Nfa.cost) ~final:false
-              { v = tup.v; n = m; s = s'; fin = false; prov }
-          end);
-      match Nfa.final_weight t.nfa tup.s with
-      | Some weight
-        when annotation_matches t tup && not (already_answered t tup.v tup.n) ->
-        push t ~dist:(dist + weight) ~final:true { tup with fin = true }
-      | _ -> ()
-    end
-    else t.stats.drop_visited <- t.stats.drop_visited + 1;
-    get_next t
   end

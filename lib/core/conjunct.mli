@@ -15,8 +15,9 @@
 
     Implementation notes mirroring §3.4:
     - [D_R] pops minimum distance with final-tuple priority;
-    - a hashed [visited] set guarantees no [(v, n, s)] triple is processed
-      twice (tuples re-surfacing at higher distance are skipped);
+    - a [visited] set of [(v, n, s)] triples ({!Tuple_set}, flat open
+      addressing) guarantees no triple is processed twice (tuples
+      re-surfacing at higher distance are skipped);
     - [Succ] groups the automaton's out-transitions by label and caches the
       neighbour list between consecutive identical labels;
     - seeds are pushed {e non-final} even when the initial state is final
@@ -46,7 +47,7 @@ val open_ :
   ?governor:Governor.t ->
   ?metrics:Obs.Metrics.t ->
   ?ceiling:int ->
-  ?suppress:(int * int, int) Hashtbl.t ->
+  ?suppress:Tuple_set.t ->
   ?seed_filter:(int -> bool) ->
   Query.conjunct ->
   t
@@ -64,9 +65,11 @@ val open_ :
     [ceiling] is the ψ bound of distance-aware retrieval: tuples with
     distance above it are pruned (and recorded, see {!pruned}).
 
-    [suppress] is a set of already-emitted [(x, y) → dist] answers shared
-    across distance-aware restarts: matching pairs are neither re-emitted nor
-    re-counted. It is updated in place as answers are emitted.
+    [suppress] is the width-2 set of [(v, n)] pairs (traversal order: the
+    seed and the node reached, so [(y, x)] under case-2 reversal) already
+    emitted by earlier distance-aware restarts: matching pairs are neither
+    re-emitted nor re-counted.  It is updated in place as answers are
+    emitted.
 
     [seed_filter] restricts seeding to oids it accepts — the seed-partition
     seam of parallel evaluation ({!Par}): because the per-seed explorations

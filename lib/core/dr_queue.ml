@@ -4,11 +4,18 @@ type 'a t = {
   mutable buckets : 'a bucket array;
   mutable lower : int; (* no tuple sits at a distance below [lower] *)
   mutable count : int;
+  mutable popped_dist : int; (* distance of the tuple the last [pop] returned *)
 }
 
 let new_bucket () = { final = []; nonfinal = [] }
 
-let create () = { buckets = Array.init 8 (fun _ -> new_bucket ()); lower = 0; count = 0 }
+let create () =
+  {
+    buckets = Array.init 8 (fun _ -> new_bucket ());
+    lower = 0;
+    count = 0;
+    popped_dist = 0;
+  }
 
 let ensure t dist =
   let cap = Array.length t.buckets in
@@ -40,24 +47,24 @@ let rec advance t =
   end
 
 let pop t =
-  if t.count = 0 then None
-  else begin
-    advance t;
-    let dist = t.lower in
-    let bucket = t.buckets.(dist) in
-    match bucket.final with
-    | v :: rest ->
-      bucket.final <- rest;
-      t.count <- t.count - 1;
-      Some (v, dist, true)
-    | [] -> (
-      match bucket.nonfinal with
-      | v :: rest ->
-        bucket.nonfinal <- rest;
-        t.count <- t.count - 1;
-        Some (v, dist, false)
-      | [] -> assert false (* advance found a non-empty bucket since count > 0 *))
-  end
+  if t.count = 0 then invalid_arg "Dr_queue.pop: empty queue";
+  advance t;
+  let dist = t.lower in
+  let bucket = if dist < Array.length t.buckets then t.buckets.(dist) else new_bucket () in
+  t.popped_dist <- dist;
+  match (bucket.final, bucket.nonfinal) with
+  | v :: rest, _ ->
+    bucket.final <- rest;
+    t.count <- t.count - 1;
+    v
+  | [], v :: rest ->
+    bucket.nonfinal <- rest;
+    t.count <- t.count - 1;
+    v
+  | [], [] ->
+    Invariant.fail "Dr_queue.pop: %d tuple(s) queued but none at distance %d or above" t.count dist
+
+let popped_dist t = t.popped_dist
 
 let has_at t d =
   d >= 0

@@ -18,9 +18,14 @@ val create : unit -> 'a t
 val push : 'a t -> dist:int -> final:bool -> 'a -> unit
 (** @raise Invalid_argument if [dist < 0]. *)
 
-val pop : 'a t -> ('a * int * bool) option
-(** Remove and return [(tuple, dist, final)] — minimum distance, final
-    first — or [None] when empty. *)
+val pop : 'a t -> 'a
+(** Remove and return a tuple of minimum distance, final tuples first and
+    the most recently pushed first within each stack.  Allocates nothing:
+    the tuple's distance is read with {!popped_dist}.
+    @raise Invalid_argument if the queue is empty (check {!is_empty}). *)
+
+val popped_dist : 'a t -> int
+(** The distance of the tuple the last {!pop} returned. *)
 
 val is_empty : 'a t -> bool
 

@@ -60,8 +60,11 @@ type stream = {
   options : Options.t;
   head : string list;
   evaluators : Evaluator.t list;
-  pull : unit -> (Ranked_join.binding * int * Witness.t list) option;
-  projected : (string list, unit) Hashtbl.t; (* dedup of projected bindings *)
+  pull : int array -> (int * Witness.t list) option;
+      (* the next binding's distance and witnesses, its head oids written
+         into the given array *)
+  projected : Tuple_set.t; (* head oids of the bindings emitted so far *)
+  pkey : int array; (* the head oids of the binding at hand *)
   governor : Governor.t;
   registry : Obs.Metrics.t; (* shared by every layer of this stream *)
   h_answer_dist : Obs.Metrics.histogram;
@@ -84,6 +87,35 @@ let binding_of_answer (c : Query.conjunct) (a : Conjunct.answer) =
     match (term : Query.term) with Query.Var v -> [ (v, value) ] | Query.Const _ -> []
   in
   Ranked_join.binding_of (of_term c.subj a.x @ of_term c.obj a.y)
+
+let witnesses (a : Conjunct.answer) = match a.witness with Some w -> [ w ] | None -> []
+
+let rec oid_of v = function
+  | (w, oid) :: rest -> if String.equal v w then oid else oid_of v rest
+  | [] ->
+    Invariant.fail
+      "Engine.next: head variable ?%s is unbound in the joined binding (Query.validate guarantees \
+       every head variable appears in the body)"
+      v
+
+let rec head_key key binding i = function
+  | [] -> ()
+  | v :: rest ->
+    key.(i) <- oid_of v binding;
+    head_key key binding (i + 1) rest
+
+(* A single conjunct's stream writes each head variable's oid straight from
+   the answer's subject or object position: no binding is built. *)
+let single_pull head (c : Query.conjunct) ev =
+  let from_subject = Array.of_list (List.map (fun v -> c.subj = Query.Var v) head) in
+  fun key ->
+    match Evaluator.next ev with
+    | None -> None
+    | Some (a : Conjunct.answer) ->
+      for i = 0 to Array.length from_subject - 1 do
+        key.(i) <- (if from_subject.(i) then a.x else a.y)
+      done;
+      Some (a.dist, witnesses a)
 
 let open_query ~graph ~ontology ?(options = Options.default) ?governor ?tenant (q : Query.t) =
   (match Query.validate q with
@@ -117,8 +149,9 @@ let open_query ~graph ~ontology ?(options = Options.default) ?governor ?tenant (
       options;
       head = q.head;
       evaluators = [];
-      pull = (fun () -> None);
-      projected = Hashtbl.create 1;
+      pull = (fun _ -> None);
+      projected = Tuple_set.create ~width:(List.length q.head) 64;
+      pkey = Array.make (List.length q.head) 0;
       governor;
       registry;
       h_answer_dist = Obs.Metrics.histogram registry "answer_distance";
@@ -162,21 +195,24 @@ let open_query ~graph ~ontology ?(options = Options.default) ?governor ?tenant (
       in
       let stream_of (c, ev) () =
         match Evaluator.next ev with
-        | Some a ->
-          let wits = match a.Conjunct.witness with Some w -> [ w ] | None -> [] in
-          Some (binding_of_answer c a, a.Conjunct.dist, wits)
+        | Some a -> Some (binding_of_answer c a, a.Conjunct.dist, witnesses a)
         | None -> None
       in
       let pull =
         match evaluators with
-        | [ single ] -> stream_of single
-        | several ->
+        | [ (c, ev) ] -> single_pull q.head c ev
+        | several -> (
           let join = Ranked_join.create ~governor ~metrics:registry (List.map stream_of several) in
-          fun () -> Ranked_join.next join
+          fun key ->
+            match Ranked_join.next join with
+            | None -> None
+            | Some (binding, distance, witnesses) ->
+              head_key key binding 0 q.head;
+              Some (distance, witnesses))
       in
       (List.map snd evaluators, pull)
     with
-    | evaluators, pull -> { closed with evaluators; pull; projected = Hashtbl.create 64 }
+    | evaluators, pull -> { closed with evaluators; pull }
     | exception Failpoints.Injected name ->
       Governor.fault governor name;
       closed
@@ -369,7 +405,7 @@ let rec next st =
     None
   end
   else
-    match st.pull () with
+    match st.pull st.pkey with
     | exception Failpoints.Injected name ->
       Governor.fault st.governor name;
       close st;
@@ -377,26 +413,16 @@ let rec next st =
     | None ->
       close st;
       None
-    | Some (binding, distance, witnesses) ->
-      let values =
-        List.map
-          (fun v ->
-            match List.assoc_opt v binding with
-            | Some oid -> Graph.node_label st.graph oid
-            | None ->
-              Invariant.fail
-                "Engine.next: head variable ?%s is unbound in the joined binding (Query.validate \
-                 guarantees every head variable appears in the body)"
-                v)
-          st.head
-      in
-      if Hashtbl.mem st.projected values then next st
+    | Some (distance, witnesses) ->
+      (* projection dedups on oids; labels are looked up only for a binding
+         that survives *)
+      if not (Tuple_set.add_new st.projected st.pkey) then next st
       else begin
-        Hashtbl.add st.projected values ();
         Governor.charge_mem st.governor Mem.answer_entry_bytes;
         Governor.note_answer st.governor;
         Obs.Metrics.observe st.h_answer_dist distance;
-        Some { bindings = List.combine st.head values; distance; witnesses }
+        let bindings = List.mapi (fun i v -> (v, Graph.node_label st.graph st.pkey.(i))) st.head in
+        Some { bindings; distance; witnesses }
       end
 
 let governor st = st.governor
@@ -407,11 +433,10 @@ let metrics st =
   st.registry
 
 let drain ?limit st =
-  let rec collect acc k =
-    if k <= 0 then List.rev acc
-    else match next st with Some a -> collect (a :: acc) (k - 1) | None -> List.rev acc
+  let[@tail_mod_cons] rec collect k =
+    if k <= 0 then [] else match next st with Some a -> a :: collect (k - 1) | None -> []
   in
-  let answers = collect [] (Option.value limit ~default:max_int) in
+  let answers = collect (Option.value limit ~default:max_int) in
   (* a limit can stop collection before [next] reaches a terminal path:
      close here so abandoned pools are joined and the audit record is
      emitted exactly once per drained stream *)

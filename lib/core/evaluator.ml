@@ -19,7 +19,7 @@ type levelled = {
   governor : Governor.t;
   metrics : Obs.Metrics.t; (* shared with every part this evaluator opens *)
   seed_filter : (int -> bool) option; (* shard partition, threaded to every part open *)
-  emitted : (int * int, int) Hashtbl.t;
+  emitted : Tuple_set.t; (* (v, n) pairs, shared with every part as [suppress] *)
   phi : int;
   mutable psi : int;
   mutable remaining : Query.conjunct list; (* parts not yet run at this level *)
@@ -68,7 +68,7 @@ let create_seq ~graph ~ontology ~options ~governor ~metrics ?seed_filter ?parts
         governor;
         metrics;
         seed_filter;
-        emitted = Hashtbl.create 64;
+        emitted = Tuple_set.create ~width:2 64;
         phi = Options.phi options conjunct.cmode;
         psi = 0;
         remaining = parts;

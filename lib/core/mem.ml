@@ -31,17 +31,21 @@ let peak t = t.peak
 
    Sizes are in bytes on a 64-bit runtime (word = 8).  Each constant is
    the approximate retained size of ONE entry of the named structure,
-   including container overhead (list cons cells, hashtable buckets, boxed
-   keys) — not just the payload.  The numbers are documented in DESIGN.md
-   ("Resource safety"); they only need to be stable and roughly
-   proportional, not exact. *)
+   including container overhead (list cons cells, spare table slots) — not
+   just the payload.  The numbers are documented in DESIGN.md ("Resource
+   safety"); they only need to be stable and roughly proportional, not
+   exact, and they are kept fixed so that a budget trips at the same point
+   whatever the structures' layout. *)
 
 let word = 8
 
 (* A D_R tuple: (node, state, dist, prov) block + its bucket cons cell. *)
 let tuple_bytes = 9 * word
 
-(* One visited/answers hashtable binding: bucket cons + boxed key pair. *)
+(* The cost unit of one entry of a conjunct's dedup sets (visited triples,
+   emitted and ψ-suppressed pairs): a flat [Tuple_set] entry of up to three
+   words, with the table's spare entries and its share of the doubling
+   copy. *)
 let visited_entry_bytes = 8 * word
 
 (* One provenance arena entry: a slot in each of the three parallel int
@@ -57,7 +61,9 @@ let join_seen_bytes = 8 * word
 (* One buffered join combination (bindings array + queue cell). *)
 let join_combo_bytes = 12 * word
 
-(* One projected-answer dedup binding in the engine. *)
+(* The cost unit of one emitted binding: an entry of the engine's
+   projected-oid [Tuple_set], or of the ranked join's emitted-binding
+   table. *)
 let answer_entry_bytes = 8 * word
 
 let of_mb mb = mb * 1024 * 1024

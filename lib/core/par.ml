@@ -74,7 +74,7 @@ type t = {
   mutable handles : unit Domain.t array;
   buffer : Conjunct.answer Dr_queue.t; (* staging: drained but not yet sealed *)
   mutable ready : Conjunct.answer list; (* sealed, canonically ordered, ready to emit *)
-  seen : (int * int, unit) Hashtbl.t option;
+  seen : Tuple_set.t option; (* (x, y) *)
       (* part-sharding only: shards have independent emitted-tables, so the
          same (x, y) can arrive from several shards; the first sealed
          occurrence is the cheapest (buckets seal in ascending distance) and
@@ -212,7 +212,7 @@ let create ~domains ~slack ~governor ~metrics ?(label = "shard") ?(dedup = false
       handles = [||];
       buffer = Dr_queue.create ();
       ready = [];
-      seen = (if dedup then Some (Hashtbl.create 256) else None);
+      seen = (if dedup then Some (Tuple_set.create ~width:2 128) else None);
       joined = false;
       h_merge_wait = Obs.Metrics.histogram metrics "par_merge_wait_ns";
       h_shard_answers = Obs.Metrics.histogram metrics "par_shard_answers";
@@ -267,12 +267,9 @@ let seal_locked t ~bound =
   let batch = ref [] in
   let rec pop () =
     match Dr_queue.min_distance t.buffer with
-    | Some d when d < bound -> (
-      match Dr_queue.pop t.buffer with
-      | Some (a, _, _) ->
-        batch := a :: !batch;
-        pop ()
-      | None -> ())
+    | Some d when d < bound ->
+      batch := Dr_queue.pop t.buffer :: !batch;
+      pop ()
     | _ -> ()
   in
   pop ();
@@ -305,23 +302,22 @@ let canonicalize t batch =
   let sorted =
     List.sort
       (fun (a : Conjunct.answer) (b : Conjunct.answer) ->
-        let c = compare a.dist b.dist in
+        let c = Int.compare a.dist b.dist in
         if c <> 0 then c
         else
-          let c = compare a.x b.x in
-          if c <> 0 then c else compare a.y b.y)
+          let c = Int.compare a.x b.x in
+          if c <> 0 then c else Int.compare a.y b.y)
       batch
   in
   match t.seen with
   | None -> sorted
-  | Some tbl ->
+  | Some set ->
+    let key = Array.make 2 0 in
     List.filter
       (fun (a : Conjunct.answer) ->
-        if Hashtbl.mem tbl (a.x, a.y) then false
-        else begin
-          Hashtbl.add tbl (a.x, a.y) ();
-          true
-        end)
+        key.(0) <- a.x;
+        key.(1) <- a.y;
+        Tuple_set.add_new set key)
       sorted
 
 let join_and_rollup t =

@@ -139,7 +139,19 @@ let next_source t =
     t.inputs;
   !best
 
-let rec next t =
+(* Pop the cheapest buffered combination (the buffer is non-empty) and
+   return it unless its binding was already emitted. *)
+let rec emit t =
+  let ((binding, _, _) as combo) = Dr_queue.pop t.buffer in
+  Governor.release_mem t.governor Mem.join_combo_bytes;
+  if Hashtbl.mem t.emitted binding then next t
+  else begin
+    Hashtbl.add t.emitted binding ();
+    Governor.charge_mem t.governor Mem.answer_entry_bytes;
+    Some combo
+  end
+
+and next t =
   if not (Governor.poll t.governor) then None
   else
   let releasable =
@@ -147,37 +159,12 @@ let rec next t =
     | Some d -> d <= threshold t
     | None -> false
   in
-  if releasable then begin
-    match Dr_queue.pop t.buffer with
-    | Some ((binding, total, wits), _, _) ->
-      Governor.release_mem t.governor Mem.join_combo_bytes;
-      if Hashtbl.mem t.emitted binding then next t
-      else begin
-        Hashtbl.add t.emitted binding ();
-        Governor.charge_mem t.governor Mem.answer_entry_bytes;
-        Some (binding, total, wits)
-      end
-    | None ->
-      Invariant.fail
-        "Ranked_join.next: buffer reported min distance %d <= threshold %d but popped empty \
-         (%d input stream(s), %d binding(s) emitted)"
-        (Option.value (Dr_queue.min_distance t.buffer) ~default:(-1))
-        (threshold t) (Array.length t.inputs) (Hashtbl.length t.emitted)
-  end
+  if releasable then emit t
   else
     match next_source t with
-    | -1 -> (
+    | -1 ->
       (* every input exhausted: flush the buffer *)
-      match Dr_queue.pop t.buffer with
-      | Some ((binding, total, wits), _, _) ->
-        Governor.release_mem t.governor Mem.join_combo_bytes;
-        if Hashtbl.mem t.emitted binding then next t
-        else begin
-          Hashtbl.add t.emitted binding ();
-          Governor.charge_mem t.governor Mem.answer_entry_bytes;
-          Some (binding, total, wits)
-        end
-      | None -> None)
+      if Dr_queue.is_empty t.buffer then None else emit t
     | idx ->
       pull_one t idx;
       next t

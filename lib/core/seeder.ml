@@ -3,7 +3,11 @@ module Oid_set = Graphstore.Oid_set
 module Nfa = Automaton.Nfa
 
 type t = {
-  mutable candidates : int Seq.t; (* lazily produced, possibly with duplicates *)
+  mutable scans : (int -> bool) list;
+      (* the candidate stages: each delivers, in ascending order, the oids of
+         [0, n_nodes) it accepts — scanned lazily, possibly with duplicates *)
+  mutable pos : int; (* next oid of the head scan *)
+  n_nodes : int;
   delivered : Oid_set.t;
   batch_size : int;
   mutable fixed : (int * int) list option; (* Some: constant-subject seeds *)
@@ -16,7 +20,9 @@ let of_list ?filter seeds =
     match filter with None -> seeds | Some f -> List.filter (fun (oid, _) -> f oid) seeds
   in
   {
-    candidates = Seq.empty;
+    scans = [];
+    pos = 0;
+    n_nodes = 0;
     delivered = Oid_set.create ();
     batch_size = max_int;
     fixed = Some seeds;
@@ -24,54 +30,67 @@ let of_list ?filter seeds =
     governor = Governor.unlimited ();
   }
 
-let all_nodes graph : int Seq.t = Seq.init (Graph.n_nodes graph) (fun oid -> oid)
-
-(* Nodes carrying an edge compatible with [lbl], as a sequence (the Sparksee
-   Heads/Tails calls of §3.3).  Instead of materialising per-label oid sets,
-   each label contributes a lazy ascending scan filtered by
-   {!Graph.has_adjacent} — an O(1) offset-range check on the CSR index — so
-   unneeded batches cost nothing downstream. *)
-let nodes_with_edge graph (lbl : Nfa.tlabel) : int Seq.t =
-  let with_label dir a = Seq.filter (fun n -> Graph.has_adjacent graph n a dir) (all_nodes graph) in
-  let all_labels dir =
-    List.to_seq (Graph.labels graph) |> Seq.concat_map (fun l -> with_label dir l)
-  in
+(* Nodes carrying an edge compatible with [lbl] (the Sparksee Heads/Tails
+   calls of §3.3).  Instead of materialising per-label oid sets, each label
+   contributes an ascending scan filtered by {!Graph.has_adjacent} — an O(1)
+   offset-range check on the CSR index — so unneeded batches cost nothing
+   downstream. *)
+let scans_of_label graph (lbl : Nfa.tlabel) =
+  let with_label dir a n = Graph.has_adjacent graph n a dir in
+  let all_labels dir = List.map (with_label dir) (Graph.labels graph) in
   let dir_of : Nfa.dir -> Graph.dir = function Fwd -> Graph.Out | Bwd -> Graph.In in
   match lbl with
-  | Nfa.Eps -> Seq.empty (* removed before evaluation *)
-  | Nfa.Sym (d, a) -> with_label (dir_of d) a
+  | Nfa.Eps -> [] (* removed before evaluation *)
+  | Nfa.Sym (d, a) -> [ with_label (dir_of d) a ]
   | Nfa.Any -> all_labels Graph.Both
   | Nfa.Any_dir d -> all_labels (dir_of d)
-  | Nfa.Sub_closure (d, ls) -> Seq.concat_map (with_label (dir_of d)) (Array.to_seq ls)
-  | Nfa.Type_to c -> List.to_seq (Graph.neighbors graph c (Graph.type_label graph) In)
+  | Nfa.Sub_closure (d, ls) -> List.map (with_label (dir_of d)) (Array.to_list ls)
+  | Nfa.Type_to c -> [ (fun n -> Graph.mem_edge graph n (Graph.type_label graph) c) ]
 
 let of_initial_state ?(governor = Governor.unlimited ()) ?filter ~graph ~nfa ~batch_size () =
   let s0 = Nfa.initial nfa in
   let by_start_labels =
-    Seq.concat_map
-      (fun (tr : Nfa.transition) -> nodes_with_edge graph tr.lbl)
-      (List.to_seq (Nfa.out nfa s0))
+    List.concat_map (fun (tr : Nfa.transition) -> scans_of_label graph tr.lbl) (Nfa.out nfa s0)
   in
-  let candidates =
+  let all_nodes _ = true in
+  let scans =
     match Nfa.final_weight nfa s0 with
-    | Some 0 -> all_nodes graph
-    | Some _ -> Seq.append by_start_labels (all_nodes graph)
+    | Some 0 -> [ all_nodes ]
+    | Some _ -> by_start_labels @ [ all_nodes ]
     | None -> by_start_labels
   in
   (* Shard partitioning (parallel evaluation): candidates outside the
      filter are skipped before the delivered-set dedup, so a shard's seeder
      behaves exactly like a sequential seeder over its own seed subset. *)
-  let candidates =
-    match filter with None -> candidates | Some f -> Seq.filter f candidates
+  let scans =
+    match filter with None -> scans | Some f -> List.map (fun keep n -> keep n && f n) scans
   in
   {
-    candidates;
+    scans;
+    pos = 0;
+    n_nodes = Graph.n_nodes graph;
     delivered = Oid_set.create ();
     batch_size = max 1 batch_size;
     fixed = None;
     finished = false;
     governor;
   }
+
+(* The next candidate, or -1 once every scan is done. *)
+let rec next_candidate t =
+  match t.scans with
+  | [] -> -1
+  | keep :: rest ->
+    if t.pos >= t.n_nodes then begin
+      t.scans <- rest;
+      t.pos <- 0;
+      next_candidate t
+    end
+    else begin
+      let oid = t.pos in
+      t.pos <- oid + 1;
+      if keep oid then oid else next_candidate t
+    end
 
 let next_batch t =
   Failpoints.check Failpoints.Seed_batch;
@@ -89,27 +108,20 @@ let next_batch t =
     if t.finished then []
     else begin
       let batch = ref [] and count = ref 0 in
-      let rec pull seq =
-        (* Deliver a short batch when the governor trips mid-scan: the
-           remaining candidates stay queued, and the caller's own poll stops
-           it from asking again. *)
-        if !count >= t.batch_size || not (Governor.poll t.governor) then t.candidates <- seq
-        else
-          match seq () with
-          | Seq.Nil ->
-            t.candidates <- Seq.empty;
-            t.finished <- true
-          | Seq.Cons (oid, rest) ->
-            if Oid_set.add_new t.delivered oid then begin
-              (* the delivered set grows for the life of the conjunct —
-                 charged against the memory budget like the visited sets *)
-              Governor.charge_mem t.governor Mem.seed_entry_bytes;
-              batch := (oid, 0) :: !batch;
-              incr count
-            end;
-            pull rest
-      in
-      pull t.candidates;
+      (* Deliver a short batch when the governor trips mid-scan: the
+         remaining candidates stay queued, and the caller's own poll stops
+         it from asking again. *)
+      while (not t.finished) && !count < t.batch_size && Governor.poll t.governor do
+        let oid = next_candidate t in
+        if oid < 0 then t.finished <- true
+        else if Oid_set.add_new t.delivered oid then begin
+          (* the delivered set grows for the life of the conjunct —
+             charged against the memory budget like the visited sets *)
+          Governor.charge_mem t.governor Mem.seed_entry_bytes;
+          batch := (oid, 0) :: !batch;
+          incr count
+        end
+      done;
       List.rev !batch
     end
 

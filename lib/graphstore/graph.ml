@@ -183,12 +183,17 @@ let csr_bytes t =
   side c.fwd + side c.bwd
   + (Sys.word_size / 8 * (Array.length c.slot_of_label + Array.length c.label_of_slot))
 
+(* The rows of a label no edge carries: every node's row is empty. *)
+let no_rows = { off = [||]; tgt = [||] }
+
+(* A label's rows in one direction.  Lookups run once per expansion, so no
+   option is allocated: an unknown or unused label reads [no_rows]. *)
 let slot_rows c label dir =
-  if label < 0 || label >= Array.length c.slot_of_label then None
+  if label < 0 || label >= Array.length c.slot_of_label then no_rows
   else
     let slot = c.slot_of_label.(label) in
-    if slot < 0 then None
-    else Some (match dir with Out -> c.fwd.(slot) | In -> c.bwd.(slot) | Both -> assert false)
+    if slot < 0 then no_rows
+    else match dir with Out -> c.fwd.(slot) | In -> c.bwd.(slot) | Both -> assert false
 
 let iter_row rows n f =
   if n + 1 < Array.length rows.off then
@@ -203,14 +208,11 @@ let row_length rows n =
 
 let iter_neighbors t n label dir f =
   let c = index t in
-  let one dir =
-    match slot_rows c label dir with None -> () | Some rows -> iter_row rows n f
-  in
   match dir with
   | Both ->
-    one Out;
-    one In
-  | d -> one d
+    iter_row (slot_rows c label Out) n f;
+    iter_row (slot_rows c label In) n f
+  | d -> iter_row (slot_rows c label d) n f
 
 let neighbors t n label dir =
   let acc = ref [] in
@@ -249,12 +251,11 @@ let row_mem rows n dst =
   !found
 
 let mem_edge t src label dst =
-  match slot_rows (index t) label Out with
-  | Some rows when src + 1 < Array.length rows.off -> row_mem rows src dst
-  | _ -> false
+  let rows = slot_rows (index t) label Out in
+  src + 1 < Array.length rows.off && row_mem rows src dst
 
 let degree t n label dir =
-  match slot_rows (index t) label dir with Some r -> row_length r n | None -> 0
+  row_length (slot_rows (index t) label dir) n
 
 let out_degree t n label = degree t n label Out
 let in_degree t n label = degree t n label In
@@ -266,12 +267,10 @@ let has_adjacent t n label dir =
 
 let keys_of t label dir =
   Oid_set.of_iter (fun add ->
-      match slot_rows (index t) label dir with
-      | None -> ()
-      | Some rows ->
-        for n = 0 to t.node_count - 1 do
-          if row_length rows n > 0 then add n
-        done)
+      let rows = slot_rows (index t) label dir in
+      for n = 0 to t.node_count - 1 do
+        if row_length rows n > 0 then add n
+      done)
 
 let tails_by_label t label = keys_of t label Out
 let heads_by_label t label = keys_of t label In

@@ -559,6 +559,84 @@ let test_decompose_reorders_parts () =
   let s = Evaluator.stats ev in
   check Alcotest.bool "level restarts recorded" true (s.Core.Exec_stats.restarts >= 4)
 
+(* --- head projection ------------------------------------------------------ *)
+
+(* Dog sc Mammal sc Animal; tom is typed by both super-classes of Dog, so
+   RELAX seeding from Mammal and from Animal reaches him twice. *)
+let projection_fixture () =
+  let g = Graph.create () in
+  List.iter
+    (fun (s, p, o) -> Graph.add_edge_s g (Graph.add_node g s) p (Graph.add_node g o))
+    [
+      ("rex", "type", "Dog");
+      ("tom", "type", "Mammal");
+      ("tom", "type", "Animal");
+      ("fish", "type", "Animal");
+      ("ann", "likes", "rex");
+      ("ann", "likes", "tom");
+      ("bob", "likes", "tom");
+      ("bob", "knows", "ann");
+      ("tom", "likes", "fish");
+    ];
+  let k = Ontology.create (Graph.interner g) in
+  Ontology.add_subclass k "Dog" "Mammal";
+  Ontology.add_subclass k "Mammal" "Animal";
+  Graph.freeze g;
+  (g, k)
+
+(* Every answer of one conjunct straight from its evaluator, as (bindings
+   by variable, distance): nothing projected, nothing merged across seeds. *)
+let conjunct_rows g k (c : Q.conjunct) =
+  let ev = Core.Evaluator.create ~graph:g ~ontology:k ~options:Options.default c in
+  let bind term oid = match term with Q.Var v -> [ (v, Graph.node_label g oid) ] | Q.Const _ -> [] in
+  let rec drain acc =
+    match Core.Evaluator.next ev with
+    | None -> List.rev acc
+    | Some (a : Core.Conjunct.answer) -> drain ((bind c.Q.subj a.x @ bind c.Q.obj a.y, a.dist) :: acc)
+  in
+  drain []
+
+(* The query by hand: a nested-loop join of the conjuncts' rows on shared
+   variables with distances summed, then each head binding kept once at its
+   least distance.  Also returns the number of joined rows. *)
+let project_by_hand g k (q : Q.t) =
+  let rows =
+    List.fold_left
+      (fun rows c ->
+        let answers = conjunct_rows g k c in
+        List.concat_map
+          (fun (b, d) ->
+            List.filter_map
+              (fun (b', d') ->
+                let agrees (v, x) = match List.assoc_opt v b with Some y -> x = y | None -> true in
+                if List.for_all agrees b' then Some (b @ b', d + d') else None)
+              answers)
+          rows)
+      [ ([], 0) ] q.Q.conjuncts
+  in
+  let least = Hashtbl.create 16 in
+  List.iter
+    (fun (b, d) ->
+      let key = List.map (fun v -> (v, List.assoc v b)) q.Q.head in
+      match Hashtbl.find_opt least key with
+      | Some d' when d' <= d -> ()
+      | _ -> Hashtbl.replace least key d)
+    rows;
+  (List.length rows, List.sort compare (Hashtbl.fold (fun key d acc -> (key, d) :: acc) least []))
+
+let test_projection text () =
+  let g, k = projection_fixture () in
+  let q = QP.parse text in
+  let rows, expected = project_by_hand g k q in
+  check Alcotest.bool "the body repeats some head binding" true (rows > List.length expected);
+  let o = Engine.run ~graph:g ~ontology:k q in
+  let got = List.map (fun (a : Engine.answer) -> (a.bindings, a.distance)) o.Engine.answers in
+  check Alcotest.int "each head binding once" (List.length got)
+    (List.length (List.sort_uniq compare (List.map fst got)));
+  check
+    Alcotest.(list (pair (list (pair string string)) int))
+    "every head binding at its least distance" expected (List.sort compare got)
+
 let () =
   Alcotest.run "engine"
     [
@@ -617,6 +695,17 @@ let () =
           Alcotest.test_case "decomposition equivalence" `Quick test_decompose_same_answers;
           Alcotest.test_case "decomposition reorders parts" `Quick test_decompose_reorders_parts;
           Alcotest.test_case "tuple budget aborts" `Quick test_budget_aborts;
+        ] );
+      ( "projection",
+        [
+          Alcotest.test_case "RELAX ancestors reach one ?Y" `Quick
+            (test_projection "(?Y) <- RELAX (Dog, type-, ?Y)");
+          Alcotest.test_case "RELAX case 2 (?X, R, C)" `Quick
+            (test_projection "(?X) <- RELAX (?X, type, Dog)");
+          Alcotest.test_case "head subset of one conjunct" `Quick
+            (test_projection "(?X) <- APPROX (?X, likes, ?Y)");
+          Alcotest.test_case "head subset of a join" `Quick
+            (test_projection "(?X) <- (?X, likes, ?Y), APPROX (?Y, type, ?Z)");
         ] );
       ( "governor",
         [

@@ -10,44 +10,51 @@ let check = Alcotest.check
 
 (* --- Dr_queue -------------------------------------------------------- *)
 
+(* [Dr.pop] with its popped distance, [None] when empty. *)
+let pop q =
+  if Dr.is_empty q then None
+  else
+    let v = Dr.pop q in
+    Some (v, Dr.popped_dist q)
+
 let test_dr_fifo_distance_order () =
   let q = Dr.create () in
   Dr.push q ~dist:3 ~final:false "d3";
   Dr.push q ~dist:1 ~final:false "d1";
   Dr.push q ~dist:2 ~final:false "d2";
-  check Alcotest.(option (triple string int bool)) "min first" (Some ("d1", 1, false)) (Dr.pop q);
-  check Alcotest.(option (triple string int bool)) "then 2" (Some ("d2", 2, false)) (Dr.pop q);
-  check Alcotest.(option (triple string int bool)) "then 3" (Some ("d3", 3, false)) (Dr.pop q);
-  check Alcotest.(option (triple string int bool)) "empty" None (Dr.pop q)
+  check Alcotest.(option (pair string int)) "min first" (Some ("d1", 1)) (pop q);
+  check Alcotest.(option (pair string int)) "then 2" (Some ("d2", 2)) (pop q);
+  check Alcotest.(option (pair string int)) "then 3" (Some ("d3", 3)) (pop q);
+  check Alcotest.(option (pair string int)) "empty" None (pop q)
 
 let test_dr_final_priority () =
   let q = Dr.create () in
   Dr.push q ~dist:1 ~final:false "nf";
   Dr.push q ~dist:1 ~final:true "f";
-  (match Dr.pop q with
-  | Some (v, 1, true) -> check Alcotest.string "final first" "f" v
+  (match pop q with
+  | Some (v, 1) -> check Alcotest.string "final first" "f" v
   | _ -> Alcotest.fail "expected the final tuple");
-  match Dr.pop q with
-  | Some (v, 1, false) -> check Alcotest.string "then non-final" "nf" v
+  match pop q with
+  | Some (v, 1) -> check Alcotest.string "then non-final" "nf" v
   | _ -> Alcotest.fail "expected the non-final tuple"
 
 let test_dr_lifo_within_bucket () =
   let q = Dr.create () in
   Dr.push q ~dist:0 ~final:false "first";
   Dr.push q ~dist:0 ~final:false "second";
-  match Dr.pop q with
-  | Some ("second", _, _) -> ()
+  match pop q with
+  | Some ("second", _) -> ()
   | _ -> Alcotest.fail "stacks pop most-recently-pushed first"
 
 let test_dr_push_below_current_min () =
   let q = Dr.create () in
   Dr.push q ~dist:5 ~final:false "far";
-  ignore (Dr.pop q);
+  ignore (pop q);
   (* the internal lower bound advanced to 5; a later cheaper push must
      still be served first (seed batches re-enter at distance 0) *)
   Dr.push q ~dist:7 ~final:false "far2";
   Dr.push q ~dist:0 ~final:false "near";
-  check Alcotest.(option (triple string int bool)) "near first" (Some ("near", 0, false)) (Dr.pop q)
+  check Alcotest.(option (pair string int)) "near first" (Some ("near", 0)) (pop q)
 
 let test_dr_sizes () =
   let q = Dr.create () in
@@ -68,6 +75,12 @@ let test_dr_negative_rejected () =
   Alcotest.check_raises "negative" (Invalid_argument "Dr_queue.push: negative distance") (fun () ->
       Dr.push q ~dist:(-1) ~final:false ())
 
+let test_dr_pop_empty () =
+  let q = Dr.create () in
+  Dr.push q ~dist:2 ~final:false ();
+  Dr.pop q;
+  Alcotest.check_raises "empty" (Invalid_argument "Dr_queue.pop: empty queue") (fun () -> Dr.pop q)
+
 (* Property: popping yields non-decreasing distances when pushes never go
    below the last popped distance (the engine's invariant: successors cost
    at least their parent). *)
@@ -79,11 +92,83 @@ let dr_monotone_pops =
       (* push everything up-front: a valid special case of the invariant *)
       List.iteri (fun i (d, f) -> Dr.push q ~dist:d ~final:f i) pushes;
       let rec drain last =
-        match Dr.pop q with
+        match pop q with
         | None -> true
-        | Some (_, d, _) -> d >= last && drain d
+        | Some (_, d) -> d >= last && drain d
       in
       drain 0)
+
+(* --- Tuple_set -------------------------------------------------------- *)
+
+module Ts = Core.Tuple_set
+
+type ts_op = Add of int array | Re_add of int | Probe of int array
+
+(* Model-based: every operation is mirrored on a [Hashtbl] of int lists.
+   Components mix 0, small and near-[max_int] oids; 150-400 operations from
+   a set created at capacity 1 (2 entries) insert well over the 49 distinct
+   tuples that take it through six doublings, to 128 entries. *)
+let tuple_set_model =
+  let gen =
+    QCheck2.Gen.(
+      int_range 1 4 >>= fun width ->
+      let comp =
+        frequency
+          [
+            (1, pure 0);
+            (6, int_bound 1000);
+            (2, map (fun k -> max_int - k) (int_bound 1000));
+            (1, map (fun k -> (1 lsl 40) + k) (int_bound 10));
+          ]
+      in
+      let tuple = array_size (pure width) comp in
+      let op =
+        frequency
+          [ (6, map (fun t -> Add t) tuple); (2, map (fun i -> Re_add i) nat); (2, map (fun t -> Probe t) tuple) ]
+      in
+      pair (pure width) (list_size (int_range 150 400) op))
+  in
+  QCheck2.Test.make ~name:"tuple_set = Hashtbl model" ~count:200 gen (fun (width, ops) ->
+      let set = Ts.create ~width 1 and model = Hashtbl.create 16 in
+      let key = Array.make width 0 (* reused: the set must copy *) in
+      let added = ref [||] in
+      let fail fmt = QCheck2.Test.fail_reportf fmt in
+      List.iter
+        (fun op ->
+          let tuple, insert =
+            match op with
+            | Add t -> (t, true)
+            | Re_add i when Array.length !added > 0 -> (!added.(i mod Array.length !added), true)
+            | Re_add _ -> (Array.make width 0, true)
+            | Probe t -> (t, false)
+          in
+          Array.blit tuple 0 key 0 width;
+          let fresh = not (Hashtbl.mem model (Array.to_list tuple)) in
+          if insert then begin
+            if Ts.add_new set key <> fresh then fail "add_new said %b, model %b" (not fresh) fresh;
+            if fresh then begin
+              Hashtbl.add model (Array.to_list tuple) ();
+              added := Array.append !added [| Array.copy tuple |]
+            end
+          end;
+          if Ts.mem set key <> Hashtbl.mem model (Array.to_list tuple) then fail "mem disagrees";
+          if Ts.cardinal set <> Hashtbl.length model then
+            fail "cardinal %d, model %d" (Ts.cardinal set) (Hashtbl.length model))
+        ops;
+      if Hashtbl.length model < 49 then fail "only %d tuples: fewer than six doublings" (Hashtbl.length model);
+      Array.for_all
+        (fun t ->
+          Array.blit t 0 key 0 width;
+          Ts.mem set key)
+        !added)
+
+let test_tuple_set_rejects () =
+  Alcotest.check_raises "width" (Invalid_argument "Tuple_set.create: width must be positive") (fun () ->
+      ignore (Ts.create ~width:0 4));
+  let set = Ts.create ~width:2 4 in
+  Alcotest.check_raises "negative" (Invalid_argument "Tuple_set.add_new: negative first component")
+    (fun () -> ignore (Ts.add_new set [| -1; 0 |]));
+  check Alcotest.int "unchanged" 0 (Ts.cardinal set)
 
 (* --- Seeder ----------------------------------------------------------- *)
 
@@ -217,7 +302,13 @@ let () =
           Alcotest.test_case "push below min" `Quick test_dr_push_below_current_min;
           Alcotest.test_case "sizes" `Quick test_dr_sizes;
           Alcotest.test_case "negative distance" `Quick test_dr_negative_rejected;
+          Alcotest.test_case "pop on empty" `Quick test_dr_pop_empty;
           QCheck_alcotest.to_alcotest dr_monotone_pops;
+        ] );
+      ( "tuple_set",
+        [
+          QCheck_alcotest.to_alcotest tuple_set_model;
+          Alcotest.test_case "rejects" `Quick test_tuple_set_rejects;
         ] );
       ( "seeder",
         [
