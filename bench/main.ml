@@ -934,9 +934,31 @@ let dedup_pairs () =
         if not (Core.Tuple_set.mem set key) then ignore (Core.Tuple_set.add_new set key)
       done)
 
+(* The ranked join's hash path: full drains of the J3-shaped join
+   (perfbench's join-exact), whose first conjunct pulls thousands of
+   answers that mostly find no partner; ns per answer pulled from the
+   conjunct streams into the join, conjunct evaluation included. *)
+let join_drain () =
+  let q = "(?X, ?Y) <- (?X, job.type, ?Y), (Software Professionals, type-.job-, ?X)" in
+  header ("[MICRO] ranked join: full drains of " ^ q);
+  let g, k = l4_graph (List.hd !scales) in
+  let run () = match Engine.run_string ~graph:g ~ontology:k q with Ok o -> o | Error m -> failwith m in
+  let o = run () (* warm-up *) in
+  let pulled = Obs.Metrics.h_count (Obs.Metrics.histogram o.Engine.metrics "join_combos") in
+  let reps = max 3 !runs in
+  let t0 = Unix.gettimeofday () in
+  for _ = 1 to reps do
+    ignore (run ())
+  done;
+  Printf.printf "join %-30s %7.1f ns/pulled answer (%d pulled, %d answers)\n"
+    (L4.scale_name (List.hd !scales))
+    ((Unix.gettimeofday () -. t0) *. 1e9 /. float_of_int (reps * pulled))
+    pulled (List.length o.Engine.answers)
+
 let micro () =
   scan_throughput ();
   dedup_pairs ();
+  join_drain ();
   header "[MICRO] Bechamel micro-benchmarks (one per table/figure)";
   let open Bechamel in
   let l4_small = l4_graph (List.hd !scales) in

@@ -79,30 +79,35 @@ type stream = {
   mutable audited : bool; (* audit record emitted (close is idempotent) *)
 }
 
-(* A conjunct answer as a variable binding.  A conjunct with two constants
-   contributes an empty binding (its satisfaction is checked by the conjunct
-   evaluator itself). *)
-let binding_of_answer (c : Query.conjunct) (a : Conjunct.answer) =
-  let of_term term value =
-    match (term : Query.term) with Query.Var v -> [ (v, value) ] | Query.Const _ -> []
-  in
-  Ranked_join.binding_of (of_term c.subj a.x @ of_term c.obj a.y)
-
 let witnesses (a : Conjunct.answer) = match a.witness with Some w -> [ w ] | None -> []
 
-let rec oid_of v = function
-  | (w, oid) :: rest -> if String.equal v w then oid else oid_of v rest
-  | [] ->
-    Invariant.fail
-      "Engine.next: head variable ?%s is unbound in the joined binding (Query.validate guarantees \
-       every head variable appears in the body)"
-      v
+(* A conjunct as a join input: it writes the oids of its variables straight
+   from the answer's subject and object positions.  A conjunct with two
+   constants has no variable (its satisfaction is checked by the conjunct
+   evaluator itself). *)
+let join_source (c : Query.conjunct) ev =
+  let vars = Query.conjunct_vars c in
+  let subj = match c.subj with Query.Var _ -> true | Query.Const _ -> false in
+  let obj = match c.obj with Query.Var v -> c.subj <> Query.Var v | Query.Const _ -> false in
+  let obj_pos = List.length vars - 1 in
+  let pull out =
+    match Evaluator.next ev with
+    | None -> None
+    | Some (a : Conjunct.answer) ->
+      if subj then out.(0) <- a.x;
+      if obj then out.(obj_pos) <- a.y;
+      Some (a.dist, witnesses a)
+  in
+  { Ranked_join.vars; pull }
 
-let rec head_key key binding i = function
-  | [] -> ()
-  | v :: rest ->
-    key.(i) <- oid_of v binding;
-    head_key key binding (i + 1) rest
+let head_slot join v =
+  match Ranked_join.slot join v with
+  | Some s -> s
+  | None ->
+    Invariant.fail
+      "Engine.open_query: head variable ?%s is not a variable of the join (Query.validate \
+       guarantees every head variable appears in the body)"
+      v
 
 (* A single conjunct's stream writes each head variable's oid straight from
    the answer's subject or object position: no binding is built. *)
@@ -193,21 +198,22 @@ let open_query ~graph ~ontology ?(options = Options.default) ?governor ?tenant (
           (fun c -> (c, Evaluator.create ~graph ~ontology ~options ~governor ~metrics:registry c))
           q.conjuncts
       in
-      let stream_of (c, ev) () =
-        match Evaluator.next ev with
-        | Some a -> Some (binding_of_answer c a, a.Conjunct.dist, witnesses a)
-        | None -> None
-      in
       let pull =
         match evaluators with
         | [ (c, ev) ] -> single_pull q.head c ev
         | several -> (
-          let join = Ranked_join.create ~governor ~metrics:registry (List.map stream_of several) in
+          let join =
+            Ranked_join.create ~governor ~metrics:registry
+              (List.map (fun (c, ev) -> join_source c ev) several)
+          in
+          let head_slots = Array.of_list (List.map (head_slot join) q.head) in
           fun key ->
             match Ranked_join.next join with
             | None -> None
             | Some (binding, distance, witnesses) ->
-              head_key key binding 0 q.head;
+              for i = 0 to Array.length head_slots - 1 do
+                key.(i) <- binding.(head_slots.(i))
+              done;
               Some (distance, witnesses))
       in
       (List.map snd evaluators, pull)

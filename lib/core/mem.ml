@@ -55,10 +55,14 @@ let prov_entry_bytes = 3 * word
 (* One oid recorded in a seeder's delivered set. *)
 let seed_entry_bytes = 4 * word
 
-(* One tuple remembered in a join input's [seen] list. *)
+(* The cost unit of one answer pulled into the ranked join: its bucket
+   entry (the oids of the input's variables, distance and witnesses) and a
+   bucket cons cell.  Charged once per pulled answer, however many of the
+   input's indexes hold the entry. *)
 let join_seen_bytes = 8 * word
 
-(* One buffered join combination (bindings array + queue cell). *)
+(* The cost unit of one buffered join combination: its slot array of oids,
+   the queued (binding, total, witnesses) block and the queue cell. *)
 let join_combo_bytes = 12 * word
 
 (* The cost unit of one emitted binding: an entry of the engine's

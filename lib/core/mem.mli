@@ -44,10 +44,12 @@ val seed_entry_bytes : int
 (** One oid in a seeder's delivered set. *)
 
 val join_seen_bytes : int
-(** One tuple in a join input's [seen] list. *)
+(** One answer pulled into the ranked join: a bucket entry, charged once
+    however many of its input's indexes hold it. *)
 
 val join_combo_bytes : int
-(** One buffered join combination. *)
+(** One buffered join combination: a slot array of oids and its queue
+    cell. *)
 
 val answer_entry_bytes : int
 (** One projected-answer dedup binding. *)

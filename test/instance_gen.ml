@@ -45,17 +45,23 @@ let gen_regex =
         in
         gen (min size 8)))
 
+(* [edges] labelled edges and [types] type edges over [n_base] plain nodes
+   and the class nodes. *)
+let gen_edges ~n_base ~edges ~types =
+  QCheck2.Gen.(
+    let n_total = n_base + n_classes in
+    pair
+      (list_size edges
+         (triple (int_bound (n_total - 1))
+            (map (List.nth labels) (int_bound 3))
+            (int_bound (n_total - 1))))
+      (list_size types (pair (int_bound (n_base - 1)) (int_bound (n_classes - 1)))))
+
 let gen_instance ~mode =
   QCheck2.Gen.(
     let* n_base = int_range 12 27 in
     let n_total = n_base + n_classes in
-    let* edges =
-      list_size (int_range 10 60)
-        (triple (int_bound (n_total - 1))
-           (map (List.nth labels) (int_bound 3))
-           (int_bound (n_total - 1)))
-    in
-    let* types = list_size (int_range 0 8) (pair (int_bound (n_base - 1)) (int_bound (n_classes - 1))) in
+    let* edges, types = gen_edges ~n_base ~edges:(int_range 10 60) ~types:(int_range 0 8) in
     let* regex = gen_regex in
     let* subj =
       frequency
@@ -76,16 +82,16 @@ let gen_instance ~mode =
     in
     return { n_base; edges; types; regex; mode; subj; obj })
 
-let name_of inst i =
-  if i < inst.n_base then Printf.sprintf "n%d" i else Printf.sprintf "C%d" (i - inst.n_base)
+let node_name n_base i = if i < n_base then Printf.sprintf "n%d" i else Printf.sprintf "C%d" (i - n_base)
+let name_of inst i = node_name inst.n_base i
 
-let build ?(freeze = true) inst =
+let build_graph ~freeze ~n_base ~edges ~types =
   let g = Graph.create () in
-  for i = 0 to inst.n_base + n_classes - 1 do
-    ignore (Graph.add_node g (name_of inst i))
+  for i = 0 to n_base + n_classes - 1 do
+    ignore (Graph.add_node g (node_name n_base i))
   done;
-  List.iter (fun (s, l, d) -> Graph.add_edge_s g s l d) inst.edges;
-  List.iter (fun (n, c) -> Graph.add_edge_s g n "type" (inst.n_base + c)) inst.types;
+  List.iter (fun (s, l, d) -> Graph.add_edge_s g s l d) edges;
+  List.iter (fun (n, c) -> Graph.add_edge_s g n "type" (n_base + c)) types;
   let k = Ontology.create (Graph.interner g) in
   Ontology.add_subclass k "C0" "C1";
   Ontology.add_subclass k "C1" "C2";
@@ -97,6 +103,8 @@ let build ?(freeze = true) inst =
      leaves it to the first lookup *)
   if freeze then Graph.freeze g;
   (g, k)
+
+let build ?(freeze = true) inst = build_graph ~freeze ~n_base:inst.n_base ~edges:inst.edges ~types:inst.types
 
 (* Domain counts the property suites sweep.  The determinism contract
    (DESIGN.md §Parallel evaluation) is that the answer *multiset* — and for
@@ -127,3 +135,60 @@ let conjunct_of inst =
     | `Ghost -> Q.Const "absent"
   in
   Q.conjunct ~mode:inst.mode subj inst.regex obj
+
+(* --- whole queries ------------------------------------------------------ *)
+
+(* Random 2- and 3-conjunct queries for the whole-query oracle.  The graphs
+   are smaller than the single-conjunct ones: a join's combinations grow
+   with the product of its conjuncts' answer sets.  Every join shape the
+   ranked join distinguishes is drawn explicitly: a shared variable, no
+   shared variable (a cross product), a two-constant conjunct (an empty
+   binding), a loop (?X, R, ?X), and a 3-way chain whose middle conjunct
+   shares a variable with each side.  The head is a random non-empty subset
+   of the body's variables, often a strict one; each conjunct's mode is
+   drawn independently. *)
+type query_instance = {
+  q_base : int;
+  q_edges : (int * string * int) list;
+  q_types : (int * int) list;
+  query : Q.t;
+}
+
+let gen_query_instance =
+  QCheck2.Gen.(
+    let* q_base = int_range 5 10 in
+    let* q_edges, q_types = gen_edges ~n_base:q_base ~edges:(int_range 5 25) ~types:(int_range 0 5) in
+    let const = map (fun i -> Q.Const (node_name q_base i)) (int_bound (q_base + n_classes - 1)) in
+    let conj subj obj =
+      let* regex = gen_regex in
+      let* mode = oneofl [ Q.Exact; Q.Approx; Q.Relax ] in
+      return (Q.conjunct ~mode subj regex obj)
+    in
+    let x = Q.Var "X" and y = Q.Var "Y" and z = Q.Var "Z" in
+    let* conjuncts =
+      oneof
+        [
+          flatten_l [ conj x y; conj y z ];
+          (let* c = const in
+           flatten_l [ conj x y; conj c z ]);
+          (let* c1 = const and* c2 = const in
+           flatten_l [ conj x y; conj c1 c2 ]);
+          flatten_l [ conj x x; conj x y ];
+          (let* c = const in
+           flatten_l [ conj x y; conj y z; conj z c ]);
+        ]
+    in
+    let body = Q.vars { Q.head = []; conjuncts } in
+    let* keep = list_repeat (List.length body) bool in
+    let head = List.filteri (fun i _ -> List.nth keep i) body in
+    let head = if head = [] then [ List.hd body ] else head in
+    return { q_base; q_edges; q_types; query = Q.make ~head conjuncts })
+
+let build_query_instance inst =
+  build_graph ~freeze:true ~n_base:inst.q_base ~edges:inst.q_edges ~types:inst.q_types
+
+let print_query_instance inst =
+  Printf.sprintf "%s over %d nodes, edges [%s], types [%s]" (Q.to_string inst.query)
+    (inst.q_base + n_classes)
+    (String.concat "; " (List.map (fun (s, l, d) -> Printf.sprintf "%d %s %d" s l d) inst.q_edges))
+    (String.concat "; " (List.map (fun (n, c) -> Printf.sprintf "%d:C%d" n c) inst.q_types))

@@ -169,3 +169,44 @@ let engine_stream g k options conjunct =
     | None -> List.rev acc
   in
   drain []
+
+(* --- whole queries ----------------------------------------------------- *)
+
+(* The ranked answer multiset of a whole CRP query, brute force: each
+   conjunct's oracle answer set as variable bindings, joined by nested loops
+   over the conjuncts, distances summed, projected onto the head keeping
+   each head binding's least distance.  Sorted [(head labels, distance)]. *)
+let query_answers g k options (q : Q.t) =
+  let rows (c : Q.conjunct) =
+    let var term oid = match term with Q.Var v -> [ (v, oid) ] | Q.Const _ -> [] in
+    List.map (fun (x, y, d) -> (var c.Q.subj x @ var c.Q.obj y, d)) (answers g k options c)
+  in
+  let agree b1 b2 =
+    List.for_all (fun (v, x) -> match List.assoc_opt v b2 with Some y -> x = y | None -> true) b1
+  in
+  let joined =
+    List.fold_left
+      (fun partial c ->
+        let rows = rows c in
+        List.concat_map
+          (fun (b, d) ->
+            List.filter_map (fun (b', d') -> if agree b b' then Some (b @ b', d + d') else None) rows)
+          partial)
+      [ ([], 0) ] q.Q.conjuncts
+  in
+  let best = Hashtbl.create 64 in
+  List.iter
+    (fun (b, d) ->
+      let key = List.map (fun v -> List.assoc v b) q.Q.head in
+      match Hashtbl.find_opt best key with
+      | Some d0 when d0 <= d -> ()
+      | _ -> Hashtbl.replace best key d)
+    joined;
+  Hashtbl.fold (fun key d acc -> (List.map (Graph.node_label g) key, d) :: acc) best []
+  |> List.sort compare
+
+(* The engine's answers to a whole query as the same sorted multiset. *)
+let engine_answers g k options q =
+  (Core.Engine.run ~graph:g ~ontology:k ~options q).Core.Engine.answers
+  |> List.map (fun (a : Core.Engine.answer) -> (List.map snd a.bindings, a.distance))
+  |> List.sort compare

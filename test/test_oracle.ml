@@ -60,10 +60,74 @@ let decomposed_prop =
       let inst = { inst with regex = R.Alt (inst.regex, extra) } in
       agree ~options:{ Core.Options.default with Core.Options.decompose = true } inst)
 
-(* --- emission order ---------------------------------------------------- *)
-
 let hetero_costs =
   { Core.Options.ins = 2; del = 2; sub = 4; beta = 2; gamma = 3 }
+
+(* --- whole queries = oracle ---------------------------------------------- *)
+
+(* Heterogeneous costs make the levelled strategies' conjunct streams step
+   back by up to phi - 1 (see the emission-order group below). *)
+let gen_query_case = QCheck2.Gen.(quad gen_query_instance bool bool bool)
+
+let print_query_case (inst, distance_aware, decompose, hetero) =
+  Printf.sprintf "%s%s%s%s" (print_query_instance inst)
+    (if distance_aware then " --distance-aware" else "")
+    (if decompose then " --decompose" else "")
+    (if hetero then " (heterogeneous costs)" else "")
+
+let query_options (_, distance_aware, decompose, hetero) =
+  let costs = if hetero then hetero_costs else Core.Options.default_costs in
+  { Core.Options.default with Core.Options.distance_aware; decompose; costs }
+
+(* The ranked join, head projection and shared variables end to end: the
+   engine's answers as a ranked multiset equal the brute-force CRPQ oracle's,
+   at every domain count, with and without distance-aware retrieval and
+   decomposition. *)
+let query_prop =
+  QCheck2.Test.make ~name:"whole query = oracle (2-3 conjuncts, every join shape)" ~count:120
+    ~print:print_query_case gen_query_case (fun ((inst, _, _, _) as case) ->
+      let g, k = build_query_instance inst in
+      let options = query_options case in
+      let expected = Oracle.query_answers g k options inst.query in
+      List.for_all
+        (fun domains ->
+          Oracle.engine_answers g k (with_domains options domains) inst.query = expected)
+        (domains_under_test ()))
+
+let rec permutations = function
+  | [] -> [ [] ]
+  | l ->
+    List.concat
+      (List.mapi
+         (fun i x -> List.map (fun p -> x :: p) (permutations (List.filteri (fun j _ -> j <> i) l)))
+         l)
+
+(* Conjunct permutation and a consistent renaming of the variables give the
+   same answers at the same distances: the join's slot layout and bucket key
+   shapes follow the input order, so every order must agree. *)
+let permutation_prop =
+  QCheck2.Test.make ~name:"conjunct permutation and variable renaming keep the answers" ~count:80
+    ~print:print_query_case gen_query_case (fun ((inst, _, _, _) as case) ->
+      let g, k = build_query_instance inst in
+      let options = query_options case in
+      let q = inst.query in
+      let expected = Oracle.engine_answers g k options q in
+      let fresh = [ ("X", "Who"); ("Y", "Alpha"); ("Z", "Mid") ] in
+      let rename = function
+        | Q.Var v -> Q.Var (List.assoc v fresh)
+        | Q.Const _ as c -> c
+      in
+      let renamed (c : Q.conjunct) = { c with Q.subj = rename c.Q.subj; obj = rename c.Q.obj } in
+      List.for_all
+        (fun conjuncts ->
+          Oracle.engine_answers g k options { q with Q.conjuncts } = expected
+          && Oracle.engine_answers g k options
+               (Q.make ~head:(List.map (fun v -> List.assoc v fresh) q.Q.head)
+                  (List.map renamed conjuncts))
+             = expected)
+        (permutations q.Q.conjuncts))
+
+(* --- emission order ---------------------------------------------------- *)
 
 (* No duplicate (x, y) pair in the whole stream, and distances never drop
    below the running maximum by more than [slack].  Swept over the domain
@@ -137,6 +201,11 @@ let () =
           QCheck_alcotest.to_alcotest relax_da_prop;
           QCheck_alcotest.to_alcotest decomposed_prop;
           QCheck_alcotest.to_alcotest unbatched_prop;
+        ] );
+      ( "whole query",
+        [
+          QCheck_alcotest.to_alcotest query_prop;
+          QCheck_alcotest.to_alcotest permutation_prop;
         ] );
       ( "emission order",
         [
